@@ -37,7 +37,7 @@ from .branch import BranchPredictor
 from .cachesim import MemoryHierarchy
 from .distance_predictor import StoreDistancePredictor
 from .params import CoreParams, ModelKind
-from .regfile import PhysRegFile
+from .regfile import PhysRegFile, RegfileError
 from .ssn import SsnState, StoreRegisterBuffer
 from .stats import LoadKind, LowConfOutcome, SimStats, SquashCause
 from .storebuffer import StoreBuffer
@@ -67,7 +67,8 @@ class _Decoded:
 
     __slots__ = ("is_load", "is_store", "is_mem", "is_control",
                  "is_cond_branch", "src_regs", "dest_reg", "fu",
-                 "latency", "is_partial", "rs", "rt", "rd", "uop_estimate")
+                 "latency", "is_partial", "rs", "rt", "rd", "uop_estimate",
+                 "uop_kind", "uop_fu", "uop_srcs", "uop_dest")
 
     def __init__(self, instr: Instruction, params: CoreParams):
         self.is_load = instr.is_load
@@ -90,6 +91,17 @@ class _Decoded:
             self.latency = params.branch_latency
         else:
             self.latency = params.alu_latency
+        # The first MicroOp, renamed straight-line by _rename: the only
+        # one of a non-memory instruction, the AGI of a memory one.
+        if self.is_mem:
+            self.uop_kind, self.uop_fu = UopKind.AGI, FuClass.AGEN
+            self.uop_srcs, self.uop_dest = (self.rs,), REG_AGI
+        else:
+            if self.is_control:
+                self.uop_kind, self.uop_fu = UopKind.BRANCH, FuClass.BRANCH
+            else:
+                self.uop_kind, self.uop_fu = UopKind.ALU, self.fu
+            self.uop_srcs, self.uop_dest = self.src_regs, self.dest_reg
         if not self.is_mem:
             self.uop_estimate = 1
         elif self.is_store:
@@ -206,8 +218,17 @@ class Simulator:
         self.waiters: Dict[int, List[Uop]] = {}
         self.ready_heap: List[Tuple[int, Uop]] = []
         self.event_heap: List[Tuple[int, int, Uop]] = []
+        # Baseline loads stalled on store-set order or a partial forward.
         self.blocked_loads: List[Uop] = []
+        # NoSQ delayed loads parked until SSN_commit reaches their
+        # predicted store: (ssn_byp, seq, uop), drained at store commit.
+        self.ssn_wake_heap: List[Tuple[int, int, Uop]] = []
         self.uop_seq = 0
+        # Per-MicroOp counters folded into ``stats`` at drain (see run()).
+        self._n_uops = 0
+        self._n_issued = 0
+        self._n_rf_reads = 0
+        self._n_rf_writes = 0
 
         # Fetch state.
         self.fetch_index = 0
@@ -222,7 +243,14 @@ class Simulator:
 
         # Oracle bookkeeping.
         self.commit_cycle: Dict[int, int] = {}    # trace index -> cycle
-        self.rename_cycle_of: Dict[int, int] = {}
+
+        # Per-model load cracking, bound once.
+        if self.model is ModelKind.BASELINE:
+            self._crack_load = self._crack_load_baseline
+        elif self.model is ModelKind.PERFECT:
+            self._crack_load = self._crack_load_perfect
+        else:
+            self._crack_load = self._crack_load_predicted
 
         # Precomputed front-end behaviour (deterministic on the committed
         # path, so squash/refetch replays identical predictions) and the
@@ -429,7 +457,39 @@ class Simulator:
                 self.cycle += 1
         stats.cycles = self.cycle
         stats.instructions = total
+        self._fold_counters()
         return stats
+
+    # -- drain-folded per-MicroOp counters --------------------------------
+
+    def _seed_events(self, *names: str) -> None:
+        """Insert drain-folded energy-event keys at their first occurrence.
+
+        ``energy_report`` sums the event costs in the Counter's insertion
+        order, so a folded key must sit where a per-MicroOp bump would
+        first have created it, or the float total could move in its last
+        place.  Stages call this at their first such event of a call.
+        """
+        ee = self._ee
+        for name in names:
+            if name not in ee:
+                ee[name] = 0
+
+    def _fold_counters(self) -> None:
+        """Add the per-MicroOp counts the stages kept in plain ints to
+        ``stats``.  Nothing reads them mid-run (tracers and metrics only
+        see events), so folding once at drain is invisible."""
+        ee = self._ee
+        n_uops = self._n_uops
+        self.stats.uops += n_uops
+        for name, count in (("rename", n_uops), ("iq_dispatch", n_uops),
+                            ("iq_issue", self._n_issued),
+                            ("rf_read", self._n_rf_reads),
+                            ("rf_write", self._n_rf_writes)):
+            if count:
+                ee[name] += count
+        self._n_uops = self._n_issued = 0
+        self._n_rf_reads = self._n_rf_writes = 0
 
     # -- event-driven cycle skipping ---------------------------------------
 
@@ -439,11 +499,11 @@ class Simulator:
         Safe because every state change in an idle span is event-driven:
         execution completions come off ``event_heap``, store-buffer
         activity off :meth:`StoreBuffer.next_event_cycle`, retire stalls
-        record their own wake cycle, blocked loads unblock only on those
-        same events, and the front end advances only at availability
-        cycles computed here.  A span with no deadline therefore touches
-        no state and no statistics except the retire-stall counters the
-        caller accounts for.
+        record their own wake cycle, blocked and SSN-parked loads unblock
+        only on those same events, and the front end advances only at
+        availability cycles computed here.  A span with no deadline
+        therefore touches no state and no statistics except the
+        retire-stall counters the caller accounts for.
         """
         cycle = self.cycle
         wake: Optional[int] = None
@@ -540,6 +600,15 @@ class Simulator:
             for ssn in entry.ssns:
                 self.srb.invalidate(ssn)
                 self.ssn.on_commit(ssn)
+        wake = self.ssn_wake_heap
+        if wake and completed:
+            # NoSQ delayed loads whose predicted store has now committed
+            # become issuable this very cycle (issue runs after commit).
+            commit = self.ssn.commit
+            ready_heap = self.ready_heap
+            while wake and wake[0][0] <= commit:
+                _, seq, uop = heapq.heappop(wake)
+                heapq.heappush(ready_heap, (seq, uop))
 
     # ------------------------------------------------------------------
     # Stage: writeback (execution completions).
@@ -549,8 +618,18 @@ class Simulator:
         heap = self.event_heap
         cycle = self.cycle
         pop = heapq.heappop
+        push = heapq.heappush
         done = UopState.DONE
+        waiting_state = UopState.WAITING
+        ready_state = UopState.READY
+        alu_kind = UopKind.ALU
+        agi_kind = UopKind.AGI
+        ready_cycle = self.prf.ready_cycle
+        waiters = self.waiters
+        ready_heap = self.ready_heap
+        ee = self._ee
         tr = self._tr
+        n_writes = 0
         while heap and heap[0][0] <= cycle:
             uop = pop(heap)[2]
             if uop.dead:
@@ -559,27 +638,71 @@ class Simulator:
             uop.instr.pending_uops -= 1
             if tr is not None:
                 tr.on_writeback(uop, cycle)
-            self._complete_uop(uop)
-
-    def _complete_uop(self, uop: Uop) -> None:
-        instr = uop.instr
-        if uop.kind is UopKind.LOAD and not uop.instr.dead:
-            self._complete_load_access(uop)
-        elif uop.kind is UopKind.CMP:
-            li = instr.load
-            dep = self.trace[li.dep_trace_index]
-            li.predicate = _covers(dep, instr.trace)
-        elif uop.kind is UopKind.CMOV:
-            if uop.cmov_selected:
-                self._finalize_predicated_value(instr)
+            kind = uop.kind
+            if kind is alu_kind or kind is agi_kind:
+                dest = uop.dest
             else:
-                # The unselected CMOV acts as a NOP and writes nothing.
-                return self._maybe_set_ready(uop, write=False)
-        elif uop.kind is UopKind.STORE:
+                dest = self._complete_uop(uop)
+            if dest is None:
+                continue
+            # The result register becomes ready: wake its consumers.
+            if not n_writes and "rf_write" not in ee:
+                self._seed_events("rf_write")
+            n_writes += 1
+            current = ready_cycle[dest]
+            if current is None or cycle > current:
+                ready_cycle[dest] = cycle
+            waiting = waiters.pop(dest, None)
+            if waiting is None:
+                continue
+            for waiter in waiting:
+                if waiter.dead:
+                    continue
+                waiter.remaining_srcs -= 1
+                if (waiter.remaining_srcs == 0
+                        and waiter.state is waiting_state):
+                    waiter.state = ready_state
+                    push(ready_heap, (waiter.seq, waiter))
+        self._n_rf_writes += n_writes
+
+    def _complete_uop(self, uop: Uop) -> Optional[int]:
+        """Completion side effects of every kind but ALU/AGI; returns the
+        register the MicroOp makes ready (None when it writes nothing)."""
+        instr = uop.instr
+        kind = uop.kind
+        if kind is UopKind.LOAD:
+            if not instr.dead:
+                # The cache access returned data: sample value and
+                # SSN_commit.
+                li = instr.load
+                te = instr.trace
+                li.ssn_nvul = self.ssn.commit
+                value = self.timing_mem.read(te.mem_addr, te.mem_size)
+                if li.mode is LoadKind.PREDICATED:
+                    # Goes to the $ldtmp register; the CMOV pair selects.
+                    li.cache_value = value
+                elif not li.value_from_store:
+                    li.obtained_value = value
+        elif kind is UopKind.CMP:
+            li = instr.load
+            li.predicate = _covers(self.trace[li.dep_trace_index],
+                                   instr.trace)
+        elif kind is UopKind.CMOV:
+            if not uop.cmov_selected:
+                return None  # the unselected CMOV acts as a NOP
+            li = instr.load
+            if li.predicate:
+                dep = self.trace[li.dep_trace_index]
+                li.obtained_value = _extract_forward(dep, instr.trace)
+                li.value_from_store = True
+            else:
+                li.obtained_value = li.cache_value
+                li.value_from_store = False
+        elif kind is UopKind.STORE:
             # Baseline: address + data now visible in the store queue.
             instr.store.sq_entry_done = True
             self.stats.energy_event("lq_cam_search")
-        elif uop.kind is UopKind.BRANCH and instr.mispredicted_branch:
+        elif kind is UopKind.BRANCH and instr.mispredicted_branch:
             if self.pending_branch is instr:
                 # Redirect resolved: refill the front end after the usual
                 # pipeline-depth bubble.  Counted as a (front-end) squash
@@ -591,53 +714,7 @@ class Simulator:
                     SquashCause.BRANCH_MISPREDICT] += 1
                 if self._tr is not None:
                     self._tr.on_redirect(instr.rob_id, self.cycle)
-        self._maybe_set_ready(uop)
-
-    def _maybe_set_ready(self, uop: Uop, write: bool = True) -> None:
-        if uop.dest is None or not uop.writes_dest or not write:
-            return
-        if uop.kind is UopKind.CMOV and not uop.cmov_selected:
-            return
-        self._ee["rf_write"] += 1
-        self._set_preg_ready(uop.dest, self.cycle)
-
-    def _set_preg_ready(self, preg: int, cycle: int) -> None:
-        self.prf.set_ready(preg, cycle)
-        waiting = self.waiters.pop(preg, None)
-        if waiting is None:
-            return
-        ready_heap = self.ready_heap
-        for waiter in waiting:
-            if waiter.dead:
-                continue
-            waiter.remaining_srcs -= 1
-            if waiter.remaining_srcs == 0 and waiter.state is UopState.WAITING:
-                waiter.state = UopState.READY
-                heapq.heappush(ready_heap, (waiter.seq, waiter))
-
-    def _complete_load_access(self, uop: Uop) -> None:
-        """A cache access returned data: sample value and SSN_commit."""
-        instr = uop.instr
-        li = instr.load
-        te = instr.trace
-        li.read_cycle = self.cycle
-        li.ssn_nvul = self.ssn.commit
-        value = self.timing_mem.read(te.mem_addr, te.mem_size)
-        if li.mode is LoadKind.PREDICATED:
-            # Goes to the $ldtmp register; the CMOV pair selects later.
-            li.cache_value = value  # type: ignore[attr-defined]
-        elif not li.value_from_store:
-            li.obtained_value = value
-
-    def _finalize_predicated_value(self, instr: DynInstr) -> None:
-        li = instr.load
-        if li.predicate:
-            dep = self.trace[li.dep_trace_index]
-            li.obtained_value = _extract_forward(dep, instr.trace)
-            li.value_from_store = True
-        else:
-            li.obtained_value = li.cache_value
-            li.value_from_store = False
+        return uop.dest
 
     # ------------------------------------------------------------------
     # Stage: retire.
@@ -649,7 +726,14 @@ class Simulator:
         budget = self.params.retire_width
         rob = self.rob
         prf = self.prf
+        ready_cycle = prf.ready_cycle
+        dec_producer = prf.dec_producer
+        dec_consumer = prf.dec_consumer
+        committed_map = self.committed_map
         stats = self.stats
+        ee = self._ee
+        arch_regs = self.arch_regs
+        tr = self._tr
         cycle = self.cycle
         retired_any = False
         while budget > 0 and rob:
@@ -657,17 +741,18 @@ class Simulator:
             if head.pending_uops:
                 break
             result_preg = head.result_preg
-            if result_preg is not None and not prf.is_ready(result_preg,
-                                                            cycle):
-                break
+            if result_preg is not None:
+                ready = ready_cycle[result_preg]
+                if ready is None or ready > cycle:
+                    break
 
             dec = head.dec
+            li = head.load
             if dec.is_load:
                 status = self._verify_load(head)
                 if status == "wait":
                     stats.reexec_stall_cycles += 1
                     self._retire_stall = "reexec"
-                    li = head.load
                     if li.reexec_scheduled and li.reexec_done_cycle > cycle:
                         self._retire_wake = li.reexec_done_cycle
                     # else: waiting on the store buffer to drain, whose
@@ -683,7 +768,39 @@ class Simulator:
                     self._retire_stall = "sb_full"
                     break
 
-            self._retire_bookkeeping(head)
+            # Retire bookkeeping.
+            ee["rob_entry"] += 1
+            if arch_regs is not None:
+                self._arch_update(head)
+            if dec.is_control:
+                stats.branches += 1
+                if head.mispredicted_branch:
+                    stats.branch_mispredicts += 1
+            # Rename-map commit + virtual release (paper Fig. 9).
+            for logical, new_preg, prev_preg in head.renames:
+                committed_map[logical] = new_preg
+                dec_producer(prev_preg)
+            # Release verification holds.
+            if li is not None:
+                for preg in li.holds:
+                    dec_consumer(preg)
+                li.holds = []
+            # Execution time: rename to result ready (0 without a result).
+            rename_cycle = head.rename_cycle
+            ready = (ready_cycle[result_preg] if result_preg is not None
+                     else None)
+            exec_time = (ready - rename_cycle if ready is not None
+                         and ready > rename_cycle else 0)
+            if tr is not None:
+                tr.on_retire(head, cycle, exec_time)
+            stats.insn_exec_time_total += exec_time
+            if dec.is_load:
+                stats.record_load(li.mode, exec_time, li.low_confidence)
+                if li.low_confidence:
+                    self._classify_lowconf(head)
+            if dec.is_store:
+                stats.stores += 1
+
             rob.popleft()
             budget -= 1
             retired_any = True
@@ -696,44 +813,6 @@ class Simulator:
             # Progress frees ROB entries and registers and may unblock any
             # stage: never skip past the very next cycle.
             self._retire_wake = cycle + 1
-
-    def _retire_bookkeeping(self, instr: DynInstr) -> None:
-        instr.retired = True
-        self._ee["rob_entry"] += 1
-        dec = instr.dec
-        stats = self.stats
-        prf = self.prf
-        if self.arch_regs is not None:
-            self._arch_update(instr)
-        if dec.is_control:
-            stats.branches += 1
-            if instr.mispredicted_branch:
-                stats.branch_mispredicts += 1
-        # Rename-map commit + virtual release (paper Fig. 9).
-        committed_map = self.committed_map
-        dec_producer = prf.dec_producer
-        for logical, new_preg, prev_preg in instr.renames:  # type: ignore
-            committed_map[logical] = new_preg
-            dec_producer(prev_preg)
-        # Release verification holds.
-        li = instr.load
-        if li is not None:
-            for preg in li.holds:
-                prf.dec_consumer(preg)
-            li.holds = []
-        # Execution-time statistics.
-        ready = instr.result_ready_cycle(prf)
-        exec_time = max(0, (ready if ready is not None else instr.rename_cycle)
-                        - instr.rename_cycle)
-        if self._tr is not None:
-            self._tr.on_retire(instr, self.cycle, exec_time)
-        stats.insn_exec_time_total += exec_time
-        if dec.is_load:
-            stats.record_load(li.mode, exec_time, li.low_confidence)
-            if li.low_confidence:
-                self._classify_lowconf(instr)
-        if dec.is_store:
-            stats.stores += 1
 
     def _classify_lowconf(self, instr: DynInstr) -> None:
         """Paper Fig. 5: outcome of a low-confidence dependence prediction."""
@@ -962,9 +1041,10 @@ class Simulator:
                 self.inflight_store_by_id.pop(instr.rob_id, None)
         self.rob.clear()
         self.iq_occupancy = 0
-        # Every blocked load belongs to a (now dead) ROB entry: the
-        # violating head's own access already completed.
+        # Every blocked or SSN-parked load belongs to a (now dead) ROB
+        # entry: the violating head's own access already completed.
         self.blocked_loads.clear()
+        self.ssn_wake_heap.clear()
         if self.baseline_stores:
             # One pass drops the squashed entries and compacts any
             # lazily-pruned committed ones.
@@ -1004,21 +1084,35 @@ class Simulator:
     # Stage: issue.
     # ------------------------------------------------------------------
 
-    def _fu_budget(self) -> Dict[FuClass, int]:
-        return dict(self._fu_budget_template)
-
     def _issue(self) -> None:
-        budget = self.params.issue_width
+        params = self.params
+        budget = params.issue_width
         fu_budget = dict(self._fu_budget_template)
-        store_ports = self.params.store_ports
+        store_ports = params.store_ports
         ready_heap = self.ready_heap
+        event_heap = self.event_heap
         heappush = heapq.heappush
         heappop = heapq.heappop
         ready_state = UopState.READY
+        issued_state = UopState.ISSUED
         store_kind = UopKind.STORE
         load_kind = UopKind.LOAD
+        agi_kind = UopKind.AGI
+        baseline = self.model is ModelKind.BASELINE
+        nosq = self.model is ModelKind.NOSQ
+        ssn = self.ssn
+        prf = self.prf
+        producer = prf.producer
+        consumer = prf.consumer
+        ready_cycle = prf.ready_cycle
+        free = prf.free
+        free_aux = prf.free_aux
+        num_pregs = prf.num_pregs
+        ee = self._ee
+        tr = self._tr
+        cycle = self.cycle
 
-        # Re-check previously blocked loads.
+        # Re-check previously blocked (baseline) loads.
         if self.blocked_loads:
             still_blocked = []
             for uop in self.blocked_loads:
@@ -1031,6 +1125,9 @@ class Simulator:
             self.blocked_loads = still_blocked
 
         deferred: List[Tuple[int, Uop]] = []
+        n_issued = 0
+        n_reads = 0
+        n_started = 0
         while budget > 0 and ready_heap:
             seq, uop = heappop(ready_heap)
             if uop.dead or uop.state is not ready_state:
@@ -1041,78 +1138,102 @@ class Simulator:
                 if store_ports <= 0:
                     deferred.append((seq, uop))
                     continue
-            elif fu_budget[fu] <= 0:
-                deferred.append((seq, uop))
-                continue
-            if kind is load_kind and self._load_issue_blocked(uop):
-                self.blocked_loads.append(uop)
-                continue
-
-            if kind is store_kind:
                 store_ports -= 1
             else:
+                if fu_budget[fu] <= 0:
+                    deferred.append((seq, uop))
+                    continue
+                if kind is load_kind:
+                    if baseline:
+                        li = uop.instr.load
+                        if ((li.storeset_wait is not None
+                             or li.forward_block is not None)
+                                and self._load_issue_blocked(uop)):
+                            self.blocked_loads.append(uop)
+                            continue
+                    elif nosq:
+                        li = uop.instr.load
+                        if (li.mode is LoadKind.DELAYED
+                                and ssn.commit < li.ssn_byp):
+                            # Delayed until the predicted colliding store
+                            # commits; _commit_stores wakes it.
+                            heappush(self.ssn_wake_heap,
+                                     (li.ssn_byp, seq, uop))
+                            continue
                 fu_budget[fu] -= 1
             budget -= 1
-            self._start_execution(uop)
+
+            # Start execution.
+            uop.state = issued_state
+            if tr is not None:
+                tr.on_issue(uop, cycle)
+            if not n_issued and "iq_issue" not in ee:
+                self._seed_events("iq_issue", "rf_read")
+            n_issued += 1
+            srcs = uop.srcs
+            n_reads += len(srcs)
+            energy = _FU_ENERGY[fu]
+            if energy is not None:
+                ee[energy] += 1
+            if kind is load_kind:
+                done = self._start_load(uop)
+                if done is None:
+                    # Partial-coverage forward stall: back into the IQ
+                    # until the covering store commits.
+                    uop.state = ready_state
+                    self.blocked_loads.append(uop)
+                    continue
+            elif kind is agi_kind:
+                mem_addr = uop.instr.trace.mem_addr
+                done = cycle + uop.latency + self.tlb.access_penalty(
+                    mem_addr if mem_addr is not None else 0)
+            else:
+                done = cycle + uop.latency
+            n_started += 1
+            heappush(event_heap, (done, seq, uop))
+            # Source values are read out at execution: consumer counters
+            # drop (the paper's early-release counting, here used to
+            # *delay* release), freeing a register whose both counts hit 0.
+            for src in srcs:
+                count = consumer[src]
+                if count <= 0:
+                    raise RegfileError("consumer underflow on preg %d" % src)
+                consumer[src] = count - 1
+                if count == 1 and not producer[src]:
+                    ready_cycle[src] = None
+                    if src >= num_pregs:
+                        free_aux.append(src)
+                    else:
+                        free.append(src)
 
         for item in deferred:
             heappush(ready_heap, item)
+        self.iq_occupancy -= n_started
+        self._n_issued += n_issued
+        self._n_rf_reads += n_reads
 
     def _load_issue_blocked(self, uop: Uop) -> bool:
-        """Model-specific conditions beyond register readiness."""
+        """Baseline issue conditions beyond register readiness."""
         instr = uop.instr
         li = instr.load
-        if li is None:
-            return False
-        if self.model is ModelKind.NOSQ and li.mode is LoadKind.DELAYED:
-            # Delayed until the predicted colliding store commits.
-            return self.ssn.commit < li.ssn_byp
-        if self.model is ModelKind.BASELINE:
-            # Store-set ordering: wait for the flagged store to execute.
-            wait_id = li.storeset_wait
-            if wait_id is not None:
-                store = self.inflight_store_by_id.get(wait_id)
-                if (store is not None and not store.dead
-                        and store.store is not None
-                        and not store.store.sq_entry_done
-                        and not store.store.retired):
-                    return True
-            # Forward-stall: waiting for a partially-overlapping store.
-            block = li.forward_block
-            if block is not None:
-                if block in self.inflight_store_by_id:
-                    return True
-                li.forward_block = None  # type: ignore[attr-defined]
+        # Store-set ordering: wait for the flagged store to execute.  Only
+        # an *older* store can go first: after a squash the LFST may still
+        # name a re-renamed younger instance, and waiting on it deadlocks.
+        wait_id = li.storeset_wait
+        if wait_id is not None and wait_id < instr.rob_id:
+            store = self.inflight_store_by_id.get(wait_id)
+            if (store is not None and not store.dead
+                    and store.store is not None
+                    and not store.store.sq_entry_done
+                    and not store.store.retired):
+                return True
+        # Forward-stall: waiting for a partially-overlapping store.
+        block = li.forward_block
+        if block is not None:
+            if block in self.inflight_store_by_id:
+                return True
+            li.forward_block = None
         return False
-
-    def _start_execution(self, uop: Uop) -> None:
-        uop.state = UopState.ISSUED
-        uop.issue_cycle = self.cycle
-        if self._tr is not None:
-            self._tr.on_issue(uop, self.cycle)
-        self.iq_occupancy -= 1
-        ee = self._ee
-        ee["iq_issue"] += 1
-        ee["rf_read"] += len(uop.srcs)
-        energy = _FU_ENERGY.get(uop.fu)
-        if energy:
-            ee[energy] += 1
-
-        if uop.kind is UopKind.LOAD:
-            done = self._start_load(uop)
-            if done is None:
-                return  # re-blocked (baseline forwarding stall)
-        elif uop.kind is UopKind.AGI:
-            te = uop.instr.trace
-            done = self.cycle + uop.latency + self.tlb.access_penalty(
-                te.mem_addr if te.mem_addr is not None else 0)
-        else:
-            done = self.cycle + uop.latency
-        heapq.heappush(self.event_heap, (done, uop.seq, uop))
-        # Source values are read out at execution: consumer counters drop
-        # (the paper's early-release counting, here used to *delay* release).
-        for src in uop.srcs:
-            self.prf.dec_consumer(src)
 
     def _start_load(self, uop: Uop) -> Optional[int]:
         """Begin a load's cache/SQ access; returns the completion cycle, or
@@ -1129,9 +1250,6 @@ class Simulator:
                     # Partial coverage: stall until that store commits, then
                     # retry through the cache.
                     li.forward_block = store_instr.rob_id
-                    uop.state = UopState.READY
-                    self.iq_occupancy += 1
-                    self.blocked_loads.append(uop)
                     return None
                 li.obtained_value = value
                 li.value_from_store = True
@@ -1168,58 +1286,148 @@ class Simulator:
 
     def _rename(self) -> None:
         params = self.params
-        budget = params.rename_width
+        width = params.rename_width
+        budget = width
+        rob_entries = params.rob_entries
+        iq_entries = params.iq_entries
         fetch_buffer = self.fetch_buffer
         rob = self.rob
         trace = self.trace
         dec_by_index = self._dec_by_index
+        rename_map = self.rename_map
         prf = self.prf
+        free = prf.free
+        free_aux = prf.free_aux
+        producer = prf.producer
+        consumer = prf.consumer
+        ready_cycle = prf.ready_cycle
+        waiters = self.waiters
+        ready_heap = self.ready_heap
+        heappush = heapq.heappush
+        ready_state = UopState.READY
         cycle = self.cycle
+        ee = self._ee
+        tr = self._tr
         baseline = self.model is ModelKind.BASELINE
+        # Baseline AGI MicroOps draw from the auxiliary address registers.
+        agi_pool = free_aux if baseline else free
+        agen_latency = params.agen_latency
+        iq = self.iq_occupancy
+        seq = self.uop_seq
+        n_uops = 0
         while budget > 0 and fetch_buffer:
             avail, index = fetch_buffer[0]
             if avail > cycle:
                 break
-            if len(rob) >= params.rob_entries:
+            if len(rob) >= rob_entries:
                 break
             dec = dec_by_index[index]
             uop_count = dec.uop_estimate
-            if uop_count > budget and budget < params.rename_width:
+            if uop_count > budget and budget < width:
                 break  # does not fit in what is left of this cycle
-            if self.iq_occupancy + uop_count > params.iq_entries:
+            if iq + uop_count > iq_entries:
                 break
-            if prf.free_count < uop_count + 1:
+            if len(free) < uop_count + 1:
                 break  # conservative free-register check
-            if baseline and dec.is_mem and prf.free_aux_count < 2:
+            if baseline and dec.is_mem and len(free_aux) < 2:
                 break
             fetch_buffer.popleft()
-            instr = self._crack_and_rename(trace[index], dec)
+            if not n_uops and "rename" not in ee:
+                self._seed_events("rename", "iq_dispatch")
+            instr = DynInstr(index, trace[index], cycle, dec)
+            # The first MicroOp, renamed straight-line: sources through the
+            # speculative map, then a fresh destination register.
+            src_regs = dec.uop_srcs
+            n_srcs = len(src_regs)
+            if n_srcs == 1:
+                srcs = (rename_map[src_regs[0]],)
+            elif n_srcs == 2:
+                srcs = (rename_map[src_regs[0]], rename_map[src_regs[1]])
+            elif n_srcs == 0:
+                srcs = ()
+            else:
+                srcs = tuple([rename_map[r] for r in src_regs])
+            is_mem = dec.is_mem
+            logical = dec.uop_dest
+            if logical is None:
+                dest = None
+            else:
+                dest = (agi_pool if is_mem else free).pop()
+                producer[dest] = 1
+                consumer[dest] = 0
+                ready_cycle[dest] = None
+                instr.renames.append((logical, dest, rename_map[logical]))
+                rename_map[logical] = dest
+            uop = Uop(seq, dec.uop_kind, dec.uop_fu,
+                      agen_latency if is_mem else dec.latency, srcs, dest,
+                      instr)
+            seq += 1
+            instr.uops.append(uop)
+            instr.pending_uops = 1
+            remaining = 0
+            for src in srcs:
+                consumer[src] += 1
+                ready = ready_cycle[src]
+                if ready is None or ready > cycle:
+                    queue = waiters.get(src)
+                    if queue is None:
+                        waiters[src] = [uop]
+                    else:
+                        queue.append(uop)
+                    remaining += 1
+            if remaining:
+                uop.remaining_srcs = remaining
+            else:
+                uop.state = ready_state
+                heappush(ready_heap, (uop.seq, uop))
+            if is_mem:
+                # The rest of the crack, from the AGI's address register.
+                self.uop_seq = seq
+                if dec.is_load:
+                    self._crack_load(instr, dec, dest)
+                else:
+                    self._crack_store(instr, dec, dest)
+                seq = self.uop_seq
+                n = len(instr.uops)
+            else:
+                instr.result_preg = dest
+                if dec.is_control:
+                    instr.mispredicted_branch = self._mispredicted[index]
+                    if self._pending_branch_index == index:
+                        self.pending_branch = instr
+                        self._pending_branch_index = None
+                    ee["bpred_access"] += 1
+                n = 1
+            iq += n
+            n_uops += n
+            budget -= n
             rob.append(instr)
-            if self._tr is not None:
-                self._tr.on_rename(instr, cycle)
-            budget -= len(instr.uops) if instr.uops else 1
+            if tr is not None:
+                tr.on_rename(instr, cycle)
+        self.iq_occupancy = iq
+        self.uop_seq = seq
+        self._n_uops += n_uops
 
-    # -- rename plumbing -----------------------------------------------------
+    # -- memory-instruction cracking -----------------------------------------
 
     def _new_uop(self, instr: DynInstr, kind: UopKind, fu: FuClass,
                  latency: int, srcs: Tuple[int, ...],
                  dest: Optional[int]) -> Uop:
-        uop = Uop(seq=self.uop_seq, kind=kind, fu=fu, latency=latency,
-                  srcs=srcs, dest=dest, prev_preg=None, instr=instr)
+        """Append one MicroOp of a cracked memory instruction, counting its
+        source consumers and registering it for wakeup (or marking it
+        ready).  Dispatch counts and IQ occupancy are kept by _rename."""
+        uop = Uop(self.uop_seq, kind, fu, latency, srcs, dest, instr)
         self.uop_seq += 1
         instr.uops.append(uop)
         instr.pending_uops += 1
-        self.stats.uops += 1
-        ee = self._ee
-        ee["rename"] += 1
-        ee["iq_dispatch"] += 1
-        self.iq_occupancy += 1
-        # Source readiness / wakeup registration.
-        ready_cycle = self.prf.ready_cycle
+        prf = self.prf
+        consumer = prf.consumer
+        ready_cycle = prf.ready_cycle
         cycle = self.cycle
         waiters = self.waiters
         remaining = 0
         for src in srcs:
+            consumer[src] += 1
             ready = ready_cycle[src]
             if ready is None or ready > cycle:
                 queue = waiters.get(src)
@@ -1235,15 +1443,14 @@ class Simulator:
             heapq.heappush(self.ready_heap, (uop.seq, uop))
         return uop
 
-    def _rename_dest(self, instr: DynInstr, logical: int,
-                     aux: bool = False) -> int:
+    def _rename_dest(self, instr: DynInstr, logical: int) -> int:
         """Allocate a new physical register for a destination."""
-        preg = self.prf.allocate(aux=aux)
+        preg = self.prf.allocate()
         if preg is None:
             raise SimulationError("physical register underflow")
         prev = self.rename_map[logical]
         self.rename_map[logical] = preg
-        instr.renames.append((logical, preg, prev))  # type: ignore
+        instr.renames.append((logical, preg, prev))
         return preg
 
     def _rename_dest_shared(self, instr: DynInstr, logical: int,
@@ -1253,72 +1460,11 @@ class Simulator:
         prev = self.rename_map[logical]
         self.rename_map[logical] = preg
         self.prf.add_producer(preg)
-        instr.renames.append((logical, preg, prev))  # type: ignore
+        instr.renames.append((logical, preg, prev))
 
-    def _src(self, logical: int) -> int:
-        return self.rename_map[logical]
-
-    # -- cracking -----------------------------------------------------------------
-
-    def _crack_and_rename(self, te: TraceEntry,
-                          dec: Optional[_Decoded] = None) -> DynInstr:
-        instr = DynInstr(rob_id=te.index, trace=te,
-                         rename_cycle=self.cycle)
-        self.rename_cycle_of[te.index] = self.cycle
-        if dec is None:
-            dec = self._dec_by_index[te.index]
-        instr.dec = dec
-
-        if dec.is_load:
-            self._crack_load(instr, dec)
-        elif dec.is_store:
-            self._crack_store(instr, dec)
-        else:
-            rename_map = self.rename_map
-            src_regs = dec.src_regs
-            n_srcs = len(src_regs)
-            if n_srcs == 1:
-                srcs = (rename_map[src_regs[0]],)
-            elif n_srcs == 2:
-                srcs = (rename_map[src_regs[0]], rename_map[src_regs[1]])
-            elif n_srcs == 0:
-                srcs = ()
-            else:
-                srcs = tuple(rename_map[r] for r in src_regs)
-            dest = None
-            if dec.dest_reg is not None:
-                dest = self._rename_dest(instr, dec.dest_reg)
-                instr.result_preg = dest
-            if dec.is_control:
-                self._new_uop(instr, UopKind.BRANCH, FuClass.BRANCH,
-                              dec.latency, srcs, dest)
-                instr.mispredicted_branch = self._mispredicted[te.index]
-                if self._pending_branch_index == te.index:
-                    self.pending_branch = instr
-                    self._pending_branch_index = None
-                self._ee["bpred_access"] += 1
-            else:
-                self._new_uop(instr, UopKind.ALU, dec.fu, dec.latency,
-                              srcs, dest)
-        # Consumer counting for every renamed source operand.
-        add_consumer = self.prf.add_consumer
-        for uop in instr.uops:
-            for src in uop.srcs:
-                add_consumer(src)
-        return instr
-
-    def _crack_agi(self, instr: DynInstr, dec: _Decoded) -> int:
-        """The address-generation MicroOp; returns the address register."""
-        srcs = (self.rename_map[dec.rs],)
-        addr_preg = self._rename_dest(
-            instr, REG_AGI, aux=self.model is ModelKind.BASELINE)
-        self._new_uop(instr, UopKind.AGI, FuClass.AGEN,
-                      self.params.agen_latency, srcs, addr_preg)
-        return addr_preg
-
-    def _crack_store(self, instr: DynInstr, dec: _Decoded) -> None:
+    def _crack_store(self, instr: DynInstr, dec: _Decoded,
+                     addr_preg: int) -> None:
         te = instr.trace
-        addr_preg = self._crack_agi(instr, dec)
         data_preg = self.rename_map[dec.rt]
         ssn = self.ssn.next_rename()
         si = StoreInfo(ssn=ssn, data_preg=data_preg, addr_preg=addr_preg)
@@ -1327,13 +1473,12 @@ class Simulator:
 
         if self.model is ModelKind.BASELINE:
             # The SQ-entry MicroOp makes address+data searchable.
-            sq_uop = self._new_uop(instr, UopKind.STORE, FuClass.MEM, 1,
-                                   (addr_preg, data_preg), None)
+            self._new_uop(instr, UopKind.STORE, FuClass.MEM, 1,
+                          (addr_preg, data_preg), None)
             self.stats.energy_event("sq_write")
             self.baseline_stores.append(instr)
-            prev = self.storesets.store_rename(te.pc, instr.rob_id)
+            self.storesets.store_rename(te.pc, instr.rob_id)
             self.stats.energy_event("store_sets_access")
-            si.store_set_prev = prev
         else:
             # Store-queue-free: no access MicroOp.  The data and address
             # registers are read at commit, so their lifetimes extend
@@ -1343,31 +1488,26 @@ class Simulator:
                 self.prf.add_consumer(preg)
                 si.holds.append(preg)
 
-    def _crack_load(self, instr: DynInstr, dec: _Decoded) -> None:
+    def _crack_load_baseline(self, instr: DynInstr, dec: _Decoded,
+                             addr_preg: int) -> None:
+        """Cache/SQ access, ordered by the Store Sets predictor."""
+        li = LoadInfo(LoadKind.DIRECT)
+        instr.load = li
+        li.storeset_wait = self.storesets.load_rename(instr.trace.pc)
+        self._ee["store_sets_access"] += 1
+        dest = self._rename_dest(instr, dec.rd)
+        instr.result_preg = dest
+        self._new_uop(instr, UopKind.LOAD, FuClass.MEM, 0, (addr_preg,), dest)
+
+    def _crack_load_predicted(self, instr: DynInstr, dec: _Decoded,
+                              addr_preg: int) -> None:
+        """NoSQ / DMDP: consult the store distance predictor at rename."""
         te = instr.trace
-        addr_preg = self._crack_agi(instr, dec)
         model = self.model
-
-        if model is ModelKind.BASELINE:
-            li = LoadInfo(mode=LoadKind.DIRECT)
-            instr.load = li
-            li.storeset_wait = self.storesets.load_rename(te.pc)
-            self._ee["store_sets_access"] += 1
-            dest = self._rename_dest(instr, dec.rd)
-            instr.result_preg = dest
-            self._new_uop(instr, UopKind.LOAD, FuClass.MEM, 0,
-                          (addr_preg,), dest)
-            return
-
-        if model is ModelKind.PERFECT:
-            self._crack_load_perfect(instr, addr_preg, dec)
-            return
-
-        # NoSQ / DMDP: consult the store distance predictor at rename.
         history = self._history[te.index]
         self._ee["distance_pred_access"] += 1
         prediction = self.sdp.predict(te.pc, history)
-        li = LoadInfo(mode=LoadKind.DIRECT, history=history)
+        li = LoadInfo(LoadKind.DIRECT, history)
         instr.load = li
 
         entry = None
@@ -1406,16 +1546,17 @@ class Simulator:
             self._crack_load_predicated(instr, entry, addr_preg, dec,
                                         low_confidence=not high_confidence)
         elif high_confidence:
-            self._crack_load_bypass(instr, entry, addr_preg, dec)
+            self._crack_load_bypass(instr, entry, dec)
         elif model is ModelKind.NOSQ:
-            self._crack_load_delayed(instr, entry, addr_preg, dec)
+            self._crack_load_delayed(instr, addr_preg, dec)
         else:
             self._crack_load_predicated(instr, entry, addr_preg, dec)
 
-    def _crack_load_perfect(self, instr: DynInstr, addr_preg: int,
-                            dec: _Decoded) -> None:
+    def _crack_load_perfect(self, instr: DynInstr, dec: _Decoded,
+                            addr_preg: int) -> None:
+        """Oracle dependence: cloak from the in-flight producing store."""
         te = instr.trace
-        li = LoadInfo(mode=LoadKind.DIRECT)
+        li = LoadInfo(LoadKind.DIRECT)
         instr.load = li
         dep = te.dep_store
         dep_instr = self.inflight_store_by_id.get(dep) if dep is not None \
@@ -1436,7 +1577,7 @@ class Simulator:
             self._new_uop(instr, UopKind.LOAD, FuClass.MEM, 0,
                           (addr_preg,), dest)
 
-    def _crack_load_bypass(self, instr: DynInstr, entry, addr_preg: int,
+    def _crack_load_bypass(self, instr: DynInstr, entry,
                            dec: _Decoded) -> None:
         """Memory cloaking (paper Fig. 7(c))."""
         te = instr.trace
@@ -1461,13 +1602,12 @@ class Simulator:
             self._rename_dest_shared(instr, dec.rd, data_preg)
             instr.result_preg = data_preg
 
-    def _crack_load_delayed(self, instr: DynInstr, entry, addr_preg: int,
+    def _crack_load_delayed(self, instr: DynInstr, addr_preg: int,
                             dec: _Decoded) -> None:
         """NoSQ low-confidence: wait for the predicted store to commit."""
         li = instr.load
         li.mode = LoadKind.DELAYED
         li.low_confidence = True
-        li.waiting_commit_ssn = li.ssn_byp
         self.stats.delayed_loads += 1
         dest = self._rename_dest(instr, dec.rd)
         instr.result_preg = dest

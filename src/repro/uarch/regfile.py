@@ -36,6 +36,11 @@ class PhysRegFile:
     Store-queue-free models leave it at zero -- their extra address
     registers are exactly the cost the paper's register-pressure study
     measures.
+
+    The pipeline's rename and issue stages inline :meth:`allocate` and
+    :meth:`dec_consumer` on the hot path, so ``free`` / ``free_aux`` are
+    public and only ever mutated in place (stage-local references to them
+    stay valid across a :meth:`rebuild`).
     """
 
     def __init__(self, num_pregs: int, aux_regs: int = 0):
@@ -48,23 +53,23 @@ class PhysRegFile:
         self.consumer = [0] * total
         # ready_cycle[p] is None while the value is still being produced.
         self.ready_cycle: List[Optional[int]] = [None] * total
-        self._free: List[int] = list(range(num_pregs - 1, -1, -1))
-        self._free_aux: List[int] = list(range(total - 1, num_pregs - 1, -1))
+        self.free: List[int] = list(range(num_pregs - 1, -1, -1))
+        self.free_aux: List[int] = list(range(total - 1, num_pregs - 1, -1))
         self.alloc_stalls = 0
 
     # -- allocation -----------------------------------------------------------
 
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        return len(self.free)
 
     @property
     def free_aux_count(self) -> int:
-        return len(self._free_aux)
+        return len(self.free_aux)
 
     def allocate(self, aux: bool = False) -> Optional[int]:
         """Pop a free register (producer count set to 1, not ready)."""
-        pool = self._free_aux if aux else self._free
+        pool = self.free_aux if aux else self.free
         if not pool:
             self.alloc_stalls += 1
             return None
@@ -78,9 +83,9 @@ class PhysRegFile:
         if self.producer[preg] == 0 and self.consumer[preg] == 0:
             self.ready_cycle[preg] = None
             if preg >= self.num_pregs:
-                self._free_aux.append(preg)
+                self.free_aux.append(preg)
             else:
-                self._free.append(preg)
+                self.free.append(preg)
 
     # -- producer counting ------------------------------------------------------
 
@@ -155,5 +160,5 @@ class PhysRegFile:
                     new_free.append(preg)
         new_free.reverse()
         new_free_aux.reverse()
-        self._free = new_free
-        self._free_aux = new_free_aux
+        self.free[:] = new_free
+        self.free_aux[:] = new_free_aux

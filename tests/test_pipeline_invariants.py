@@ -4,7 +4,8 @@ Hypothesis generates small occasionally-colliding kernels (random hot-set
 sizes, iteration counts, access sizes) and every model must:
 
 * complete every instruction,
-* keep the physical-register books balanced after the run,
+* drain every in-flight structure and balance the physical-register
+  books exactly after the run,
 * leave the timing memory equal to the functional machine's memory.
 """
 
@@ -72,14 +73,20 @@ class TestPipelineInvariants:
         # Everything retired, nothing left in flight.
         assert stats.instructions == len(trace)
         assert not sim.rob and sim.sb.is_empty
+        assert sim.iq_occupancy == 0
+        assert not sim.blocked_loads
+        assert not sim.ready_heap
+        assert not sim.ssn_wake_heap
+        assert sim.ssn.rename == sim.ssn.retire == sim.ssn.commit
 
-        # Physical register books balance: every register is either free
-        # or referenced by the committed map / outstanding holds.
+        # Physical register books balance exactly: at drain every register
+        # is either free or mapped by the committed map (a leaked register
+        # is neither).
         prf = sim.prf
         live = set(sim.committed_map)
         total = prf.num_pregs + prf.aux_regs
         free = prf.free_count + prf.free_aux_count
-        assert free + len(live) <= total
+        assert free + len(live) == total
         for preg in live:
             assert prf.producer[preg] >= 1
 

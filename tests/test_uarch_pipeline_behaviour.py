@@ -236,3 +236,85 @@ class TestTickHook:
                            if s.cycle % 50 == 25 else None)
         noisy_stats = noisy.run()
         assert noisy_stats.reexecutions > quiet_stats.reexecutions
+
+
+class TestStoreSetsSquashRecovery:
+    def test_baseline_namd_drains_after_violation_squash(self):
+        """After a violation squash the LFST can still name a squashed
+        *younger* store instance; a re-renamed load must not wait on its
+        re-renamed (younger) twin, which can never execute first."""
+        from repro.uarch.stats import SquashCause
+        from repro.workloads import get_workload
+        prog = get_workload("namd").build(100)
+        trace = FunctionalCpu(prog).run_trace()
+        sim = Simulator(prog, trace, model_params(ModelKind.BASELINE))
+        stats = sim.run(max_cycles=50_000)
+        assert stats.instructions == len(trace)
+        assert stats.squash_causes[SquashCause.MEM_DEP_VIOLATION] > 0
+
+
+class TestDelayedLoadWakeList:
+    """NoSQ delayed loads park on a heap keyed by their predicted store's
+    SSN and wake when SSN_commit reaches it, instead of being re-polled on
+    every issue pass."""
+
+    @staticmethod
+    def _instrumented_run():
+        from repro.obs.tracer import PipelineTracer
+        from repro.workloads import get_workload
+
+        class IssueProbe(PipelineTracer):
+            enabled = True
+
+            def __init__(self):
+                self.issued = []
+
+            def on_issue(self, uop, cycle):
+                self.issued.append((uop, cycle, uop.dead))
+
+        prog = get_workload("bzip2").build(50)
+        trace = FunctionalCpu(prog).run_trace()
+        probe = IssueProbe()
+        sim = Simulator(prog, trace, model_params(ModelKind.NOSQ),
+                        tracer=probe)
+        # SSN_commit only grows: log (cycle, value) at every change.
+        commits = []
+        on_commit = sim.ssn.on_commit
+
+        def logged_commit(ssn):
+            before = sim.ssn.commit
+            on_commit(ssn)
+            if sim.ssn.commit != before:
+                commits.append((sim.cycle, sim.ssn.commit))
+        sim.ssn.on_commit = logged_commit
+        squashes = []
+        squash = sim._squash_younger
+
+        def logged_squash(load):
+            parked = len(sim.ssn_wake_heap)
+            squash(load)
+            squashes.append((parked, len(sim.ssn_wake_heap)))
+        sim._squash_younger = logged_squash
+        stats = sim.run()
+        return stats, sim, probe.issued, commits, squashes
+
+    def test_delayed_loads_issue_only_after_their_store_commits(self):
+        from repro.uarch.stats import LoadKind
+        from repro.uarch.uops import UopKind
+        stats, sim, issued, commits, _ = self._instrumented_run()
+        assert stats.delayed_loads > 0
+        delayed = [(uop.instr.load.ssn_byp, cycle) for uop, cycle, _ in issued
+                   if uop.kind is UopKind.LOAD
+                   and uop.instr.load.mode is LoadKind.DELAYED]
+        assert delayed
+        for ssn_byp, cycle in delayed:
+            reached = next(c for c, commit in commits if commit >= ssn_byp)
+            assert cycle >= reached, (ssn_byp, cycle, reached)
+        assert not sim.ssn_wake_heap
+
+    def test_squash_empties_wake_heap_and_issues_no_dead_uop(self):
+        _, _, issued, _, squashes = self._instrumented_run()
+        assert any(parked for parked, _ in squashes), \
+            "no squash hit while delayed loads were parked"
+        assert all(after == 0 for _, after in squashes)
+        assert not any(dead for _, _, dead in issued)
