@@ -43,8 +43,8 @@ Commands
 ``bench-sweep``
     Measure end-to-end sweep cost under five trace-store/result-cache
     regimes -- including the ``batched`` leg, which submits the whole
-    matrix through one per-trace-grouped ``run_batch`` -- plus worker
-    peak RSS, and write ``BENCH_sweep.json``; ``--check`` fails when the
+    matrix through one per-trace-grouped ``run_batch`` -- plus ledger
+    overhead, and write ``BENCH_sweep.json``; ``--check`` fails when the
     warm or batched sweeps miss their speedup floors, a warm leg
     performs any functional re-trace, or the batched leg resolves more
     than one precompute per trace (see DESIGN.md Sections 12 and 14).
@@ -145,8 +145,14 @@ def _settings(args) -> dict:
 
 
 def _spec(args, model: ModelKind) -> ConfigSpec:
-    """The validated ConfigSpec for this invocation's flags."""
-    return ConfigSpec.create(model, _settings(args), parse_strings=True)
+    """The validated ConfigSpec for this invocation's flags.
+
+    Materialised once here, so an out-of-range value (a zero-entry store
+    buffer, too few physical registers) fails the parameter dataclasses'
+    own checks before any tracing or simulation starts."""
+    spec = ConfigSpec.create(model, _settings(args), parse_strings=True)
+    spec.to_params()
+    return spec
 
 
 def _energy_costs(args):
@@ -349,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "%.1fx faster than the ungrouped warm-store leg"
                             " with exactly one precompute per trace, the "
                             "warm legs perform zero functional re-traces, "
-                            "packed workers use less peak RSS, and "
-                            "recording a --ledger adds <= %.0f%% to a warm "
+                            "and recording a --ledger adds <= %.0f%% to a warm "
                             "batched sweep"
                             % (sweepbench.MIN_WARM_SPEEDUP,
                                sweepbench.MIN_BATCHED_SPEEDUP,
@@ -507,10 +512,7 @@ def cmd_list(args, out) -> int:
 
 def cmd_compare(args, out) -> int:
     runner = _runner(args)
-    settings = _settings(args)
-    points = {model: spec_point(args.workload,
-                                ConfigSpec.create(model, settings,
-                                                  parse_strings=True))
+    points = {model: spec_point(args.workload, _spec(args, model))
               for model in ALL_MODELS}
     resolved = runner.run_batch(points.values())
     with_energy = getattr(args, "energy", False)
@@ -1046,8 +1048,8 @@ def _phase_attribution(stats) -> List:
 
     Attributes the cumulative time of each phase's entry point --
     functional tracing (``FunctionalCpu.run``), whole-trace precompute
-    (the vectorized bundle build/load in ``kernel/precompute.py`` and
-    the per-run passes inside ``Simulator.__init__``), timing simulation
+    (the bundle build/load in ``kernel/precompute.py``, shared or built
+    inside ``Simulator.__init__``), timing simulation
     (``Simulator.run``), and trace-store I/O (``load_trace`` /
     ``PackedTrace.to_bytes``).  The phases never nest (a trace is fully
     built or loaded before its simulation starts, and every precompute
@@ -1063,11 +1065,6 @@ def _phase_attribution(stats) -> List:
             phases["functional tracing"] += cumulative
         elif (path.endswith("kernel/precompute.py")
                 and funcname in ("build", "load_precompute")):
-            phases["precompute"] += cumulative
-        elif (path.endswith("uarch/pipeline.py")
-                and funcname in ("_init_from_columns",
-                                 "_precompute_branch_outcomes",
-                                 "_precompute_history")):
             phases["precompute"] += cumulative
         elif path.endswith("uarch/pipeline.py") and funcname == "run":
             phases["timing simulation"] += cumulative

@@ -11,10 +11,11 @@ and must satisfy:
    registers and memory image;
 2. **cross-model** -- all models agree with each other on final
    architectural state (a defense-in-depth net under oracle 1);
-3. **packed-stats** -- simulating from the columnar
-   :class:`~repro.kernel.tracestore.PackedTrace` yields byte-identical
-   :class:`~repro.uarch.SimStats` to simulating from the
-   ``List[TraceEntry]`` form (the trace-store fidelity contract).
+3. **packed-fields** -- the
+   :class:`~repro.kernel.tracestore.PackedTrace` every model simulates
+   decodes back, field for field, to the entries the list
+   :class:`~repro.kernel.trace.TraceRecorder` recorded (the trace-store
+   fidelity contract).
 
 A divergence is reported as a :class:`Divergence` record; the set of
 records hashes to a stable :attr:`CheckReport.signature` so a minimized
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..kernel import FunctionalCpu
-from ..kernel.trace import TraceEntry
+from ..kernel.trace import TraceEntry, TraceRecorder
 from ..kernel.tracestore import PackedTrace
 from ..uarch import ALL_MODELS, Tssbf, model_params
 from ..uarch.pipeline import SimulationError, Simulator
@@ -52,7 +53,7 @@ _MIN_CYCLE_BUDGET = 100_000
 class Divergence:
     """One oracle violation for one model."""
 
-    oracle: str                  # functional-arch | cross-model | packed-stats
+    oracle: str                  # functional-arch | cross-model | packed-fields
     model: str
     detail: str
 
@@ -169,18 +170,39 @@ def _mem_detail(got: Dict[int, bytes], ref: Dict[int, bytes]
             % (len(pages), (page << 12) + byte))
 
 
+def _fields_detail(packed: PackedTrace, entries: Sequence[TraceEntry]
+                   ) -> Optional[str]:
+    """First field where the packed trace does not decode back to the
+    recorded entries (None when every field of every entry agrees)."""
+    if len(packed) != len(entries):
+        return "length: packed %d != recorded %d" % (len(packed),
+                                                      len(entries))
+    for got, want in zip(packed, entries):
+        for name in TraceEntry.__slots__:
+            if getattr(got, name) != getattr(want, name):
+                return "entry %d %s: packed %r != recorded %r" % (
+                    want.index, name, getattr(got, name),
+                    getattr(want, name))
+    return None
+
+
 def check_program(program, models=ALL_MODELS, mutation: Optional[str] = None,
-                  max_instructions: int = MAX_FUZZ_INSTRUCTIONS,
-                  packed_oracle: bool = True) -> CheckReport:
+                  max_instructions: int = MAX_FUZZ_INSTRUCTIONS
+                  ) -> CheckReport:
     """Run one program through the full oracle stack.
 
-    ``mutation`` names a test-only trace corruption from ``MUTATIONS``
-    applied between the functional run and the timing runs, so the
-    reference state stays honest while the simulators consume a poisoned
-    trace -- a deterministic stand-in for a real simulator bug.
+    The trace is recorded as a ``List[TraceEntry]`` (mutations and the
+    pathology stats work on entries), packed once, and every model
+    simulates that packed trace.  ``mutation`` names a test-only trace
+    corruption from ``MUTATIONS`` applied between the functional run and
+    the packing, so the reference state stays honest while the
+    simulators consume a poisoned trace -- a deterministic stand-in for a
+    real simulator bug.
     """
     cpu = FunctionalCpu(program)
-    entries = cpu.run_trace(max_instructions=max_instructions)
+    recorder = TraceRecorder()
+    cpu.run(max_instructions=max_instructions, recorder=recorder)
+    entries = recorder.entries
     ref_regs = list(cpu.regs)
     ref_mem = cpu.memory.snapshot()
     if mutation is not None:
@@ -195,14 +217,17 @@ def check_program(program, models=ALL_MODELS, mutation: Optional[str] = None,
     report = CheckReport(static_instructions=len(program.instructions),
                          dynamic_instructions=len(entries),
                          pathology=trace_pathology_stats(entries))
+    packed = PackedTrace.from_entries(program, entries)
+    detail = _fields_detail(packed, entries)
+    if detail is not None:
+        report.divergences.append(Divergence("packed-fields", "-", detail))
     budget = max(_MIN_CYCLE_BUDGET, _CYCLES_PER_INSTRUCTION * len(entries))
     snapshots = {}
-    stats_by_model = {}
     for model in models:
-        sim = Simulator(program, entries, model_params(model),
+        sim = Simulator(program, packed, model_params(model),
                         track_arch_state=True)
         try:
-            stats_by_model[model] = sim.run(max_cycles=budget)
+            sim.run(max_cycles=budget)
         except SimulationError as exc:
             report.divergences.append(Divergence(
                 "functional-arch", model.value,
@@ -226,28 +251,6 @@ def check_program(program, models=ALL_MODELS, mutation: Optional[str] = None,
                 "final architectural state differs from %s"
                 % reference.value))
 
-    if packed_oracle:
-        packed = PackedTrace.from_entries(program, entries)
-        for model in models:
-            if model not in stats_by_model:
-                continue  # already reported as a hang above
-            try:
-                packed_stats = Simulator(program, packed,
-                                         model_params(model)
-                                         ).run(max_cycles=budget)
-            except SimulationError as exc:
-                report.divergences.append(Divergence(
-                    "packed-stats", model.value,
-                    "hang: %d-cycle budget exhausted (%s)" % (budget, exc)))
-                continue
-            listed = stats_by_model[model].to_dict()
-            packed_dict = packed_stats.to_dict()
-            if packed_dict != listed:
-                keys = sorted(k for k in set(listed) | set(packed_dict)
-                              if listed.get(k) != packed_dict.get(k))
-                report.divergences.append(Divergence(
-                    "packed-stats", model.value,
-                    "SimStats differ for: " + ", ".join(keys[:6])))
     return report
 
 

@@ -162,15 +162,14 @@ def measure_batched(workloads: Iterable[str] = BENCH_WORKLOADS,
     """Time the model/config cross-product per trace, batched vs. not.
 
     The *unbatched* leg constructs a fresh ``Simulator`` for every
-    (model, config) pair -- each one re-deriving branch outcomes,
-    history, decode templates, and the memory image from the packed
-    trace.  The *batched* leg analyses the trace once into a
+    (model, config) pair -- each one building its own precompute bundle
+    (branch outcomes, history, decode templates, entries, memory image)
+    from the packed trace.  The *batched* leg analyses the trace once into a
     :class:`~repro.kernel.precompute.TracePrecompute` bundle (build time
     charged to the leg) and shares it across all pairs, the way
     ``run_batch`` schedules a sweep.  SimStats must be byte-identical
     between legs; ``stats_identical`` records the comparison.
     """
-    from ..kernel.tracestore import run_trace_packed
     from ..kernel.precompute import TracePrecompute, bpred_signature
 
     out: Dict[str, object] = {"workloads": {}, "configs_per_trace":
@@ -180,7 +179,8 @@ def measure_batched(workloads: Iterable[str] = BENCH_WORKLOADS,
     identical = True
     for name in workloads:
         program = get_workload(name).build(_iterations(name, scale))
-        packed = run_trace_packed(program)
+        packed = FunctionalCpu(program).run_trace(
+            max_instructions=MAX_TRACE_INSTRUCTIONS)
         matrix = BATCH_GRID.expand()
 
         best_unbatched = float("inf")
@@ -200,8 +200,7 @@ def measure_batched(workloads: Iterable[str] = BENCH_WORKLOADS,
             start = time.perf_counter()
             pre = TracePrecompute.build(
                 packed, bpred_signature(model_params(ModelKind.BASELINE)))
-            cached = pre.cached_trace()
-            stats = [Simulator(program, cached, spec.to_params(),
+            stats = [Simulator(program, packed, spec.to_params(),
                                precompute=pre).run()
                      for spec in matrix]
             elapsed = time.perf_counter() - start

@@ -9,7 +9,7 @@ them under arbitrary model/parameter combinations with three cache layers:
    batches of points over multiprocessing workers.
 
 Functional traces get the same treatment: :meth:`ExperimentRunner.trace`
-returns a columnar :class:`~repro.kernel.tracestore.PackedTrace`, resolved
+returns a :class:`~repro.kernel.tracestore.PackedTrace`, resolved
 memo -> persistent trace store -> functional CPU, and batch fan-out hands
 workers the persisted blob's path so they ``mmap`` it instead of
 re-tracing (DESIGN.md section 12).
@@ -33,7 +33,8 @@ from ..energy import EnergyReport, energy_report, energy_summary
 from ..isa import Program
 from ..kernel.precompute import (TracePrecompute, bpred_signature,
                                  load_precompute)
-from ..kernel.tracestore import (PackedTrace, load_trace, run_trace_packed)
+from ..kernel.cpu import run_trace_packed
+from ..kernel.tracestore import PackedTrace, load_trace
 from ..obs.ledger import NULL_LEDGER, PHASE_NAMES
 from ..uarch import CoreParams, ModelKind, SimStats, model_params
 from ..uarch.pipeline import Simulator
@@ -163,7 +164,7 @@ class ExperimentRunner:
     def trace(self, workload: str) -> PackedTrace:
         """The packed dynamic trace for a workload: memo -> store -> trace.
 
-        A store hit maps the persisted columnar blob read-only (zero
+        A store hit maps the persisted trace blob read-only (zero
         functional re-execution); a miss runs the functional CPU once and
         persists the packed result for every later session and worker.
         """
@@ -250,7 +251,7 @@ class ExperimentRunner:
     def _bpred_signature(self):
         """The default predictor geometry bundles are keyed by.  A point
         that overrides any of it fails ``TracePrecompute.matches`` inside
-        the Simulator and transparently takes the per-run path."""
+        the Simulator, which then builds a bundle of its own."""
         if self._bpred_sig is None:
             self._bpred_sig = bpred_signature(
                 model_params(ModelKind.BASELINE))
@@ -372,14 +373,11 @@ class ExperimentRunner:
             from ..obs import MetricsTracer  # deferred: keeps import light
             tracer = MetricsTracer()
         # Batch submissions resolve a shared precompute bundle per trace
-        # (see run_batch); single-point run() stays on the per-run path.
-        pre = self._precomputes.get(workload)
-        if pre is not None:
-            stats = Simulator(self.program(workload), pre.cached_trace(),
-                              params, tracer=tracer, precompute=pre).run()
-        else:
-            stats = Simulator(self.program(workload), self.trace(workload),
-                              params, tracer=tracer).run()
+        # (see run_batch); a single-point run() lets the Simulator build
+        # its own.
+        stats = Simulator(self.program(workload), self.trace(workload),
+                          params, tracer=tracer,
+                          precompute=self._precomputes.get(workload)).run()
         if tracer is not None:
             self.metrics_log[self._memo_key(workload,
                                             spec)] = tracer.report()
@@ -406,7 +404,8 @@ class ExperimentRunner:
             spec = ConfigSpec.from_overrides(model, **overrides)
         params = spec.to_params()
         stats = Simulator(self.program(workload), self.trace(workload),
-                          params, tracer=tracer).run()
+                          params, tracer=tracer,
+                          precompute=self._precomputes.get(workload)).run()
         result = SimResult(workload=workload, model=spec.model, stats=stats,
                            energy=energy_report(stats, params.energy))
         self.cache.put(self._disk_key(workload, spec), result)
@@ -458,7 +457,8 @@ class ExperimentRunner:
     def run_with_params(self, workload: str, params: CoreParams) -> SimResult:
         """Simulate with a fully custom (non-memoised) configuration."""
         stats = Simulator(self.program(workload), self.trace(workload),
-                          params).run()
+                          params,
+                          precompute=self._precomputes.get(workload)).run()
         return SimResult(workload=workload, model=params.model, stats=stats,
                          energy=energy_report(stats, params.energy))
 

@@ -1,20 +1,21 @@
-"""Sweep-level benchmark: wall-clock and memory cost of a multi-model sweep.
+"""Sweep-level benchmark: wall-clock cost of a multi-model sweep.
 
 The hot-loop benchmark (:mod:`repro.harness.hotloop`) tracks the timing
 simulator's inner loop; this module tracks the layer above it -- a whole
 parameter sweep, where since the fault-tolerant engine every point runs
 in a fresh session (supervised worker process) and functional tracing is
 repeated O(points) unless something persists the trace.  That something
-is the columnar trace store (DESIGN.md section 12); this benchmark is its
+is the packed trace store (DESIGN.md section 12); this benchmark is its
 tracked artifact (``BENCH_sweep.json``).
 
 Each *leg* runs the same point matrix -- BENCH_WORKLOADS x all four
 models x two store-buffer configurations -- one fresh runner per point,
 mirroring the one-process-per-point sweep:
 
-* ``legacy``     -- pre-trace-store behaviour, reproduced exactly: every
-                    point re-runs the functional CPU and simulates from a
-                    ``List[TraceEntry]``.  The baseline.
+* ``legacy``     -- pre-trace-store behaviour: every point runs in a
+                    storeless runner (no trace, precompute or result
+                    store), so it re-runs the functional CPU and builds
+                    its own precompute bundle.  The baseline.
 * ``cold``       -- trace store + result cache enabled but empty: the
                     first point of each workload traces and packs, every
                     later point maps the blob.
@@ -36,32 +37,24 @@ The headline ``speedup_warm`` (legacy wall / warm wall) is what a
 repeated sweep actually costs after this change; ``speedup_warm_store``
 isolates the trace store with the result cache out of the picture, and
 ``batched_vs_warm_store`` isolates per-trace grouping + shared
-precompute against the ungrouped warm leg.  A separate probe forks one
-child per mode and compares peak RSS (``ru_maxrss``) of a worker
-simulating from a list trace vs. an ``mmap``-ed packed trace.
+precompute against the ungrouped warm leg.
 
 ``--check`` (CI) asserts: zero functional traces on the warm and batched
 legs, byte-identical IPC across all legs, the warm speedup floor, a
 warm-store speedup above noise, the batched-vs-warm-store floor, exactly
 one precompute load per distinct trace on the batched leg (and zero
-rebuilds), and an RSS drop.
+rebuilds), and the ledger overhead ceiling.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..config import ConfigSpec, SpecGrid
-from ..energy import energy_report
-from ..kernel import FunctionalCpu
-from ..kernel.trace import MAX_TRACE_INSTRUCTIONS
 from ..uarch import ModelKind
-from ..uarch.pipeline import Simulator
-from ..workloads import get_workload
 from .cache import NullCache, NullTraceStore, ResultCache, TraceStore
 from .hotloop import SCHEMA, calibrate, write_report  # shared report idiom
 from .runner import ExperimentRunner
@@ -81,13 +74,6 @@ BENCH_GRID = SpecGrid.create(BENCH_MODELS,
 
 # Scale used by ``--smoke`` (CI): same matrix, quarter iteration count.
 SMOKE_SCALE = 0.25
-
-# The RSS probe needs a trace long enough that the per-entry object
-# overhead of a ``List[TraceEntry]`` dominates the interpreter's baseline
-# footprint (~20 MB); sweep scales are too small for that, so the probe
-# runs its single point at its own larger scale.
-PROBE_SCALE = 8.0
-SMOKE_PROBE_SCALE = 4.0
 
 # ``--check`` gates.  The warm floor is the acceptance bar for the trace
 # store work; the warm-store floor only needs to clear measurement noise
@@ -112,8 +98,8 @@ MIN_BATCHED_SPEEDUP = 1.2
 MAX_LEDGER_OVERHEAD_PERCENT = 5.0
 
 _LEG_DESCRIPTIONS = {
-    "legacy": "no trace store, no result cache: every point re-traces "
-              "and re-simulates (pre-store behaviour)",
+    "legacy": "no trace, precompute or result store: every point "
+              "re-traces and re-simulates (pre-store behaviour)",
     "cold": "trace store + result cache enabled but empty",
     "warm_store": "trace store warm, result cache disabled: zero traces, "
                   "every point still simulates",
@@ -129,26 +115,6 @@ def bench_points() -> List[Tuple[str, ConfigSpec]]:
     return [(workload, spec)
             for workload in BENCH_WORKLOADS
             for spec in BENCH_GRID.expand()]
-
-
-def _run_point_legacy(workload: str, spec: ConfigSpec,
-                      scale: Optional[float]) -> float:
-    """One pre-store point session: list trace, list-path simulation.
-
-    Reproduces what a fresh worker did before the trace store existed,
-    so the ``legacy`` leg is an honest baseline rather than a strawman.
-    """
-    wspec = get_workload(workload)
-    iterations = None
-    if scale is not None:
-        iterations = max(1, int(round(wspec.default_scale * scale)))
-    program = wspec.build(iterations)
-    trace = FunctionalCpu(program).run_trace(
-        max_instructions=MAX_TRACE_INSTRUCTIONS)
-    params = spec.to_params()
-    stats = Simulator(program, trace, params).run()
-    energy_report(stats, params.energy)
-    return stats.ipc
 
 
 def _leg_runner(scale: Optional[float], store_root: Optional[Path],
@@ -210,18 +176,12 @@ def _run_leg(leg: str, scale: Optional[float],
             continue
         start = time.perf_counter()
         for workload, spec in bench_points():
-            if leg == "legacy":
-                point_ipc = _run_point_legacy(workload, spec, scale)
-                if attempt == 0:
-                    traces += 1
-                    simulated += 1
-            else:
-                runner = _leg_runner(scale, store_root, cache_root)
-                point_ipc = runner.run_spec(workload, spec).ipc
-                if attempt == 0:
-                    traces += runner.functional_traces
-                    loaded += runner.traces_loaded
-                    simulated += runner.points_simulated()
+            runner = _leg_runner(scale, store_root, cache_root)
+            point_ipc = runner.run_spec(workload, spec).ipc
+            if attempt == 0:
+                traces += runner.functional_traces
+                loaded += runner.traces_loaded
+                simulated += runner.points_simulated()
             # Every leg keys its IPC map by the spec's canonical settings
             # (the same key the batched leg's SimPoints carry), so the
             # byte-identity assertion compares like with like.
@@ -290,76 +250,12 @@ def measure_ledger_overhead(scale: Optional[float], store_root: Path,
     }
 
 
-# -- RSS probe ---------------------------------------------------------------
-
-
-def _rss_probe_child(conn, mode: str, scale: Optional[float],
-                     store_root: Optional[str]) -> None:
-    """Simulate one (mcf, dmdp) point and report this process's peak RSS.
-
-    ``legacy`` holds the full ``List[TraceEntry]`` (one Python object per
-    dynamic instruction); ``packed`` maps the store's columnar blob.
-    """
-    import resource
-    try:
-        if mode == "legacy":
-            _run_point_legacy("mcf", ConfigSpec.create(ModelKind.DMDP),
-                              scale)
-        else:
-            runner = _leg_runner(scale, Path(store_root), None)
-            runner.run("mcf", ModelKind.DMDP)
-            if runner.traces_generated:
-                conn.send(("error", "probe store was not warm"))
-                return
-        rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        conn.send(("ok", rss_kb))
-    except Exception as exc:     # pragma: no cover - surfaced to parent
-        conn.send(("error", repr(exc)))
-    finally:
-        conn.close()
-
-
-def measure_rss(scale: Optional[float],
-                store_root: Path) -> Dict[str, object]:
-    """Peak worker RSS, list-trace vs. packed-trace, via forked children.
-
-    Forking one child per mode gives each a clean address space, so
-    ``ru_maxrss`` reflects only that mode's trace representation.  The
-    packed child expects ``store_root`` to already hold mcf's trace at
-    ``scale`` (it asserts zero functional traces).
-    """
-    out: Dict[str, object] = {"probe_scale": scale,
-                              "point": "mcf/dmdp"}
-    for mode in ("legacy", "packed"):
-        recv, send = multiprocessing.Pipe(duplex=False)
-        proc = multiprocessing.Process(
-            target=_rss_probe_child,
-            args=(send, mode, scale, str(store_root)), daemon=True)
-        proc.start()
-        send.close()
-        try:
-            status, payload = recv.recv()
-        except EOFError:
-            status, payload = "error", "probe child died"
-        recv.close()
-        proc.join()
-        if status != "ok":
-            out["error"] = "%s probe: %s" % (mode, payload)
-            return out
-        out["%s_max_rss_kb" % mode] = payload
-    legacy = out["legacy_max_rss_kb"]
-    packed = out["packed_max_rss_kb"]
-    out["drop_kb"] = legacy - packed
-    out["drop_percent"] = round(100.0 * (legacy - packed) / legacy, 1)
-    return out
-
-
 # -- driver ------------------------------------------------------------------
 
 
 def run_benchmark(smoke: bool = False, scale: Optional[float] = None,
                   repeats: int = 3, progress=None) -> Dict[str, object]:
-    """Run all four legs + the RSS probe; returns the report payload.
+    """Run every leg + the ledger probe; returns the report payload.
 
     Stores live in a temporary directory, so the benchmark never touches
     (or is contaminated by) the user's ``.repro-cache``.  Every leg
@@ -432,11 +328,6 @@ def run_benchmark(smoke: bool = False, scale: Optional[float] = None,
                      % (payload["ledger"]["overhead_percent"],
                         payload["ledger"]["spans"]))
 
-        # RSS probe at its own (larger) scale: warm the store for it
-        # first, so the packed child maps a blob instead of tracing.
-        probe_scale = SMOKE_PROBE_SCALE if smoke else PROBE_SCALE
-        _leg_runner(probe_scale, store_root, None).ensure_trace("mcf")
-        payload["rss"] = measure_rss(probe_scale, store_root)
     return payload
 
 
@@ -456,7 +347,6 @@ def attach_check(payload: dict, check: bool = False,
         payload["check"] = {"enabled": False}
         return payload
     legs = payload["legs"]
-    rss = payload["rss"]
     details = {
         "warm_store_zero_retraces": legs["warm_store"][
             "functional_traces"] == 0,
@@ -477,7 +367,6 @@ def attach_check(payload: dict, check: bool = False,
             payload["batched_vs_warm_store"] >= min_batched,
         "ledger_overhead_ok":
             payload["ledger"]["overhead_percent"] <= max_ledger_overhead,
-        "rss_drop_ok": "error" not in rss and rss["drop_kb"] > 0,
     }
     payload["check"] = {
         "enabled": True,
@@ -519,14 +408,6 @@ def format_report(payload: dict) -> str:
                      "(%+.2f%%, %d spans)"
                      % (ledger["plain_seconds"], ledger["ledger_seconds"],
                         ledger["overhead_percent"], ledger["spans"]))
-    rss = payload["rss"]
-    if "error" in rss:
-        lines.append("  rss probe failed: %s" % rss["error"])
-    else:
-        lines.append("  worker peak rss: %d KB list -> %d KB packed "
-                     "(%.1f%% drop)" % (rss["legacy_max_rss_kb"],
-                                        rss["packed_max_rss_kb"],
-                                        rss["drop_percent"]))
     check = payload.get("check", {})
     if check.get("enabled"):
         lines.append("  check: %s" % ("PASS" if check["passed"] else

@@ -17,8 +17,8 @@ from typing import Dict, List, Optional
 from ..isa import Instruction
 
 # Runaway guard shared by every tracing entry point (functional CPU,
-# ExperimentRunner.trace, models.trace_program, tools).  One constant so a
-# workload that traces fine in one harness cannot blow the cap in another.
+# ExperimentRunner.trace, tools).  One constant so a workload that traces
+# fine in one harness cannot blow the cap in another.
 MAX_TRACE_INSTRUCTIONS = 10_000_000
 
 

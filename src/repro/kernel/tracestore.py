@@ -1,9 +1,10 @@
 """Columnar binary trace encoding + lazy ``PackedTrace`` views.
 
-A dynamic trace is a list of :class:`~repro.kernel.trace.TraceEntry`
-objects -- at full scale, millions of Python objects per workload, each
-re-materialised from scratch in every worker process of a sweep.  This
-module packs a trace into parallel fixed-width columns::
+:class:`PackedTrace` is the one form of a dynamic trace the timing
+Simulator accepts (``FunctionalCpu.run_trace`` records straight into it
+through :class:`ColumnarTraceRecorder`).  It keeps the trace as parallel
+fixed-width columns instead of millions of
+:class:`~repro.kernel.trace.TraceEntry` objects::
 
     header | static u32*n | next_pc u32*n | mem_addr u32*n | value u32*n
            | dep_store u32*n | flags u8*n | mem_size u8*n
@@ -16,14 +17,14 @@ Derived fields are recomputed at view time from the same formulas the
 recorder uses (``word_addr``, ``bab``); nullability is tracked in per-entry
 flag bits, and ``dep_store`` uses an explicit sentinel.
 
-:class:`PackedTrace` wraps the columns as a lazy sequence satisfying the
-timing Simulator's trace interface -- ``len()``, ``trace[i]`` -- by
-materialising :class:`TraceEntry` views on demand, while exposing the raw
-columns (``static_column`` / ``flags_column`` / ``next_pc_column``) so the
-Simulator's whole-trace precompute passes scan integers instead of
-building objects.  Loaded from disk the columns are zero-copy views into
-an ``mmap``, so N concurrent workers reading the same blob share one set
-of page-cache pages instead of N private object heaps.
+:class:`PackedTrace` wraps the columns as a lazy sequence -- ``len()``,
+``trace[i]``, slicing, iteration -- materialising :class:`TraceEntry`
+views on demand, and exposes the raw columns (``static_column`` /
+``flags_column`` / ``next_pc_column`` ...) so the whole-trace precompute
+(:mod:`repro.kernel.precompute`) scans integers instead of objects.
+Loaded from disk the columns are zero-copy views into an ``mmap``, so N
+concurrent workers reading the same blob share one set of page-cache
+pages.
 
 Integrity: the header pins the format version, the entry count, the
 program shape (instruction count, data length, bases, entry pc) and a
@@ -42,8 +43,7 @@ from array import array
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..isa import Program
-from .cpu import FunctionalCpu
-from .trace import MAX_TRACE_INSTRUCTIONS, TraceEntry
+from .trace import TraceEntry
 
 # Bump whenever the binary layout (or the meaning of any column) changes;
 # folded into both the trace-store key and the result-cache key so a
@@ -79,7 +79,7 @@ _CAN_CAST = struct.calcsize("I") == 4 and sys.byteorder == "little"
 
 
 class TraceEncodeError(ValueError):
-    """A trace entry does not fit the columnar encoding."""
+    """A trace entry does not fit the packed encoding."""
 
 
 class TraceDecodeError(ValueError):
@@ -90,14 +90,8 @@ Column = Union[Sequence[int], memoryview]
 
 
 class PackedTrace:
-    """Columnar dynamic trace with lazy :class:`TraceEntry` views.
-
-    Satisfies the Simulator's trace interface (``len``, integer and slice
-    indexing, iteration); ``columnar`` marks it for the Simulator's
-    array-scanning precompute fast paths.
-    """
-
-    columnar = True
+    """Columnar dynamic trace with lazy :class:`TraceEntry` views
+    (``len``, integer and slice indexing, iteration)."""
 
     __slots__ = ("program", "_n", "_static", "_next_pc", "_mem_addr",
                  "_value", "_dep", "_flags", "_mem_size", "_instructions",
@@ -159,7 +153,7 @@ class PackedTrace:
         for index in range(self._n):
             yield self[index]
 
-    # -- columnar fast-path accessors ---------------------------------------
+    # -- column accessors ----------------------------------------------------
 
     def static_column(self) -> Column:
         """Static instruction index per entry (u32)."""
@@ -392,16 +386,6 @@ class ColumnarTraceRecorder:
         return PackedTrace(self.program, self._static, self._next_pc,
                            self._mem_addr, self._value, self._dep,
                            bytes(self._flags), bytes(self._mem_size))
-
-
-def run_trace_packed(program: Program,
-                     max_instructions: int = MAX_TRACE_INSTRUCTIONS
-                     ) -> PackedTrace:
-    """Trace ``program`` directly into columnar form (no object list)."""
-    recorder = ColumnarTraceRecorder(program)
-    FunctionalCpu(program).run(max_instructions=max_instructions,
-                               recorder=recorder)
-    return recorder.finish()
 
 
 def pack_trace(program: Program,

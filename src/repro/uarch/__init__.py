@@ -25,7 +25,7 @@ from .storesets import StoreSets
 from .storebuffer import StoreBuffer, StoreBufferEntry
 from .uops import DynInstr, LoadInfo, StoreInfo, Uop, UopKind, UopState
 from .pipeline import SimulationError, Simulator, simulate
-from .models import ALL_MODELS, run_all_models, run_model, trace_program
+from .models import ALL_MODELS, run_all_models, run_model
 
 __all__ = [
     "CacheParams", "ConfidencePolicy", "ConfigError", "Consistency",
@@ -41,5 +41,5 @@ __all__ = [
     "StoreSets", "StoreBuffer", "StoreBufferEntry",
     "DynInstr", "LoadInfo", "StoreInfo", "Uop", "UopKind", "UopState",
     "SimulationError", "Simulator", "simulate",
-    "ALL_MODELS", "run_all_models", "run_model", "trace_program",
+    "ALL_MODELS", "run_all_models", "run_model",
 ]

@@ -7,11 +7,10 @@ per-model configurations of paper Section V and a one-call runner.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..isa import Program
-from ..kernel import FunctionalCpu
-from ..kernel.trace import MAX_TRACE_INSTRUCTIONS, TraceEntry
+from ..kernel import PackedTrace, run_program
 from .params import CoreParams, ModelKind, model_params
 from .pipeline import Simulator
 from .stats import SimStats
@@ -20,14 +19,7 @@ ALL_MODELS = (ModelKind.BASELINE, ModelKind.NOSQ, ModelKind.DMDP,
               ModelKind.PERFECT)
 
 
-def trace_program(program: Program,
-                  max_instructions: int = MAX_TRACE_INSTRUCTIONS
-                  ) -> List[TraceEntry]:
-    """Run the functional simulator and return the dynamic trace."""
-    return FunctionalCpu(program).run_trace(max_instructions=max_instructions)
-
-
-def run_model(program: Program, trace: List[TraceEntry], model: ModelKind,
+def run_model(program: Program, trace: PackedTrace, model: ModelKind,
               params: Optional[CoreParams] = None, **overrides) -> SimStats:
     """Simulate ``trace`` under one store-load communication model.
 
@@ -46,11 +38,11 @@ def run_model(program: Program, trace: List[TraceEntry], model: ModelKind,
 
 
 def run_all_models(program: Program,
-                   trace: Optional[List[TraceEntry]] = None,
+                   trace: Optional[PackedTrace] = None,
                    models=ALL_MODELS,
                    **overrides) -> Dict[ModelKind, SimStats]:
     """Simulate the same trace under every requested model."""
     if trace is None:
-        trace = trace_program(program)
+        trace = run_program(program)
     return {model: run_model(program, trace, model, **overrides)
             for model in models}

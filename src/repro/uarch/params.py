@@ -14,6 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, fields, replace
 
+from ..isa.registers import NUM_LOGICAL_REGS
+
 
 class ConfigError(ValueError):
     """An invalid simulator configuration: an unknown parameter name or an
@@ -232,6 +234,17 @@ class CoreParams:
 
     energy: EnergyParams = field(default_factory=EnergyParams)
 
+    def __post_init__(self):
+        # Structure sizes below these floors can only deadlock: the run
+        # would spin to the cycle cap instead of failing here.
+        for name, floor in _CORE_SIZE_FLOORS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or value < floor:
+                raise ConfigError(
+                    "core %s must be an integer >= %d, got %r"
+                    % (name, floor, value), key=name)
+
     def with_model(self, model: ModelKind) -> "CoreParams":
         """Derive the canonical configuration for a given model.
 
@@ -242,6 +255,24 @@ class CoreParams:
                   else ConfidencePolicy.BALANCED)
         return replace(self, model=model, confidence_policy=policy)
 
+
+# (field, smallest value that can drain every trace).
+_CORE_SIZE_FLOORS = tuple((name, 1) for name in (
+    "fetch_width", "rename_width", "issue_width", "retire_width",
+    "store_buffer_entries", "alu_units", "mul_units", "fp_units",
+    "branch_units", "agen_units", "load_ports", "store_ports",
+    "l1_mshrs", "dram_banks")) + (
+    # Baseline AGIs draw from an auxiliary register space sized like the
+    # ROB: the committed REG_AGI mapping holds one and the rename guard
+    # needs two more free.
+    ("rob_entries", 3),
+    # Rename stalls until the IQ has room for an instruction's worst-case
+    # crack: a DMDP predicated load is 5 MicroOps.
+    ("iq_entries", 5),
+    # Rename also needs uop_estimate + 1 free registers beyond the
+    # NUM_LOGICAL_REGS the initial rename map holds.
+    ("num_pregs", NUM_LOGICAL_REGS + 6),
+)
 
 _CORE_FIELD_NAMES = None
 

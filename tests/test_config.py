@@ -38,8 +38,12 @@ from repro.uarch import (
     Consistency,
     ModelKind,
     PredictorParams,
+    Simulator,
     model_params,
 )
+from repro.isa.registers import NUM_LOGICAL_REGS
+from repro.kernel import run_program
+from repro.workloads import get_workload
 
 ALL_MODELS = list(ModelKind)
 
@@ -172,6 +176,62 @@ class TestParamsBoundaries:
         with pytest.raises(ConfigError):
             PredictorParams(confidence_bits=4, confidence_threshold=16,
                             confidence_init=8)
+
+    # CoreParams sizes that can only deadlock: every width, entry count
+    # and unit/port count needs at least one slot; three floors derive
+    # from the pipeline's own guards.
+    UNIT_FLOOR_FIELDS = (
+        "fetch_width", "rename_width", "issue_width", "retire_width",
+        "store_buffer_entries", "alu_units", "mul_units", "fp_units",
+        "branch_units", "agen_units", "load_ports", "store_ports",
+        "l1_mshrs", "dram_banks")
+    DERIVED_FLOORS = (("rob_entries", 3), ("iq_entries", 5),
+                      ("num_pregs", NUM_LOGICAL_REGS + 6))
+
+    @staticmethod
+    def drains_on_every_model(**overrides):
+        program = get_workload("mcf").build(2)
+        trace = run_program(program)
+        for model in ALL_MODELS:
+            stats = Simulator(program, trace,
+                              model_params(model, **overrides)).run(
+                                  max_cycles=200_000)
+            assert stats.instructions == len(trace)
+
+    @pytest.mark.parametrize("field", UNIT_FLOOR_FIELDS
+                             + tuple(f for f, _ in DERIVED_FLOORS))
+    def test_core_size_zero_rejected(self, field):
+        with pytest.raises(ConfigError) as err:
+            model_params(ModelKind.DMDP, **{field: 0})
+        assert err.value.key == field
+        with pytest.raises(ConfigError):
+            model_params(ModelKind.DMDP, **{field: True})
+
+    def test_unit_floor_of_one_drains(self):
+        self.drains_on_every_model(**{f: 1 for f in self.UNIT_FLOOR_FIELDS})
+
+    @pytest.mark.parametrize("field, floor", DERIVED_FLOORS)
+    def test_derived_floor_boundary(self, field, floor):
+        with pytest.raises(ConfigError) as err:
+            model_params(ModelKind.BASELINE, **{field: floor - 1})
+        assert ">= %d" % floor in str(err.value)
+        self.drains_on_every_model(**{field: floor})
+
+    def test_smallest_experiment_configs_accepted(self):
+        params = model_params(ModelKind.DMDP, num_pregs=160, iq_entries=8,
+                              store_buffer_entries=2, fetch_width=2,
+                              rename_width=2, issue_width=2, retire_width=2)
+        assert params.num_pregs == 160
+
+    def test_run_with_deadlocking_size_fails_before_tracing(self,
+                                                            monkeypatch):
+        def no_trace(self, workload):
+            raise AssertionError("traced before the config was checked")
+        monkeypatch.setattr(ExperimentRunner, "trace", no_trace)
+        code, text = run_cli("--no-cache", "run", "mcf", "--model", "dmdp",
+                             "--set", "core.store_buffer_entries=0")
+        assert code == 2
+        assert "store_buffer_entries" in text
 
     def test_spec_surfaces_post_init_errors(self):
         # Narrowing the counter under the default threshold (63) only

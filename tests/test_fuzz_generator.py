@@ -20,7 +20,7 @@ from repro.fuzz.generator import (PROFILES, BiasProfile, ProgramSpec,
                                   generator_version, get_profile,
                                   ir_from_json, ir_to_json, materialize,
                                   validate_ir)
-from repro.fuzz.oracles import (check_ir, trace_pathology_stats,
+from repro.fuzz.oracles import (MUTATIONS, check_ir, trace_pathology_stats,
                                 tssbf_alias_stats)
 from repro.kernel import FunctionalCpu
 
@@ -124,6 +124,25 @@ def test_profile_programs_pass_oracles(name):
     ir = ProgramSpec(profile=PROFILES[name], seed=100).generate()
     report = check_ir(ir)
     assert report.ok, report.divergences
+
+
+def test_packed_fields_oracle_catches_lossy_packing(monkeypatch):
+    # Byte Access Bits are re-derived from the address and size when the
+    # packed trace decodes, so a recorded entry whose BAB disagrees with
+    # them cannot survive packing: oracle 3 must name the entry and field.
+    def corrupt_first_load_bab(entries):
+        for entry in entries:
+            if entry.is_load:
+                entry.bab ^= 0x1
+                return
+
+    monkeypatch.setitem(MUTATIONS, "lossy-bab", corrupt_first_load_bab)
+    ir = ProgramSpec(profile=PROFILES["colliding"], seed=100).generate()
+    report = check_ir(ir, mutation="lossy-bab")
+    fields = [d for d in report.divergences if d.oracle == "packed-fields"]
+    assert len(fields) == 1
+    assert fields[0].model == "-"
+    assert " bab: packed " in fields[0].detail
 
 
 # -- bias-profile distribution assertions ------------------------------------

@@ -2,13 +2,14 @@
 
 Four layers under test (DESIGN.md Section 14):
 
-* the tables -- :class:`TracePrecompute` must reproduce exactly the
-  per-run tables ``Simulator.__init__`` derives itself (mispredict
-  bitmap, rename-time global history, decode index, dependence index),
-  with the numpy and pure-Python builds byte-identical;
+* the tables -- :class:`TracePrecompute` (the Simulator's only setup
+  path) must reproduce exactly an independent sequential reference: a
+  :class:`BranchPredictor` replay plus the global-history shift register
+  over list-recorded :class:`TraceEntry` objects, and a ``_Decoded``
+  template per entry;
 * the golden bar -- SimStats must be byte-identical whether a point is
-  simulated from the list trace, the packed trace, or the packed trace
-  plus a shared bundle, on every model;
+  simulated with a bundle the Simulator builds itself or one shared
+  across configurations, on every model;
 * the blob -- serialisation round-trips through bytes and through an
   mmap'd file, and every corruption (truncated, flipped byte, bad
   magic, format bump, wrong trace, wrong signature) raises
@@ -26,17 +27,25 @@ import repro.kernel.precompute as precompute_mod
 from repro.harness.cache import PrecomputeStore, ResultCache, TraceStore
 from repro.harness.parallel import make_point
 from repro.harness.runner import ExperimentRunner
-from repro.kernel import FunctionalCpu, MAX_TRACE_INSTRUCTIONS, pack_trace
+from repro.kernel import (FunctionalCpu, MAX_TRACE_INSTRUCTIONS,
+                          TraceRecorder, pack_trace)
 from repro.kernel.precompute import (PRECOMPUTE_FORMAT_VERSION,
                                      PrecomputeDecodeError, TracePrecompute,
                                      bpred_signature, load_precompute,
                                      write_precompute)
-from repro.uarch import ALL_MODELS, ModelKind, Simulator, model_params
+from repro.uarch import (ALL_MODELS, BranchPredictor, ModelKind,
+                         PredictorParams, Simulator, model_params)
+from repro.uarch.pipeline import _Decoded
 from repro.workloads import get_workload
 
 from .test_differential_oracle import SEED, build_random_program
 
 DEFAULT_SIG = bpred_signature(model_params(ModelKind.BASELINE))
+
+DECODED_FIELDS = ("is_load", "is_store", "is_mem", "is_control",
+                  "is_cond_branch", "src_regs", "dest_reg", "fu", "latency",
+                  "is_partial", "rs", "rt", "rd", "uop_estimate", "uop_kind",
+                  "uop_fu", "uop_srcs", "uop_dest")
 
 
 def small_workload(name="mcf", fraction=0.1):
@@ -45,74 +54,85 @@ def small_workload(name="mcf", fraction=0.1):
     return spec.build(iterations)
 
 
+def record_entries(program, max_instructions=MAX_TRACE_INSTRUCTIONS):
+    """The list ``TraceRecorder``'s entries for ``program``."""
+    recorder = TraceRecorder()
+    FunctionalCpu(program).run(max_instructions=max_instructions,
+                               recorder=recorder)
+    return recorder.entries
+
+
 def packed_case(name="mcf", fraction=0.1):
+    """(program, list-recorded entries, packed trace) for a workload."""
     program = small_workload(name, fraction)
-    trace = FunctionalCpu(program).run_trace(
+    packed = FunctionalCpu(program).run_trace(
         max_instructions=MAX_TRACE_INSTRUCTIONS)
-    return program, trace, pack_trace(program, trace)
+    return program, record_entries(program), packed
 
 
 def random_packed(index):
     rng = random.Random(SEED + index)
     program = build_random_program(rng)
-    trace = FunctionalCpu(program).run_trace(max_instructions=200_000)
-    return program, pack_trace(program, trace)
+    return program, FunctionalCpu(program).run_trace(
+        max_instructions=200_000)
+
+
+def sequential_reference(entries, params):
+    """Per-entry (mispredicted, history) the slow, obvious way: replay the
+    branch predictor over every control entry in order and shift each
+    conditional branch's outcome into the global-history register."""
+    bpred = BranchPredictor(params.bpred_table_bits, params.btb_entries)
+    mask = (1 << params.predictor.history_bits) - 1
+    history = 0
+    mispredicted, histories = [], []
+    for entry in entries:
+        histories.append(history)
+        hit = True
+        if entry.instr.is_control:
+            hit = bpred.predict_and_update(entry.pc, entry.instr,
+                                           entry.taken, entry.next_pc)
+            if entry.instr.is_cond_branch:
+                history = ((history << 1) | int(entry.taken)) & mask
+        mispredicted.append(not hit)
+    return mispredicted, histories
+
+
+def long_history(model=ModelKind.BASELINE, bits=12):
+    return model_params(model, predictor=PredictorParams(history_bits=bits))
 
 
 class TestBundleTables:
     def test_tables_match_simulator_own_precompute(self):
-        program, _trace, packed = packed_case()
-        params = model_params(ModelKind.DMDP)
-        bundle = TracePrecompute.build(packed, bpred_signature(params))
-        sim = Simulator(program, packed, params)   # per-run path
-        assert bundle.mispredicted_list() == sim._mispredicted
-        assert bundle.history_list() == sim._history
-        dec = bundle.decode_index(params)
-        assert len(dec) == len(sim._dec_by_index)
-        fields = ("is_load", "is_store", "is_mem", "is_control",
-                  "is_cond_branch", "src_regs", "dest_reg", "fu", "latency",
-                  "is_partial", "rs", "rt", "rd", "uop_estimate")
-        for ours, theirs in zip(dec, sim._dec_by_index):
-            for field in fields:
-                assert getattr(ours, field) == getattr(theirs, field)
-
-    def test_fallback_build_matches_numpy(self, monkeypatch):
-        if precompute_mod._np is None:
-            pytest.skip("numpy unavailable: fallback is the only path")
-        _program, _trace, packed = packed_case()
-        vectorized = TracePrecompute.build(packed, DEFAULT_SIG)
-        monkeypatch.setattr(precompute_mod, "_np", None)
-        fallback = TracePrecompute.build(packed, DEFAULT_SIG)
-        assert fallback.mispredicted_list() == vectorized.mispredicted_list()
-        assert fallback.history_list() == vectorized.history_list()
+        # A Simulator given no bundle builds its own; its tables must
+        # match the sequential reference, also under a history length
+        # other than the default.
+        program, entries, packed = packed_case()
+        for params in (model_params(ModelKind.DMDP),
+                       long_history(ModelKind.DMDP)):
+            sim = Simulator(program, packed, params)
+            mispredicted, history = sequential_reference(entries, params)
+            assert sim._mispredicted == mispredicted
+            assert sim._history == history
+            assert len(sim._dec_by_index) == len(entries)
+            for dec, entry in zip(sim._dec_by_index, entries):
+                want = _Decoded(entry.instr, params)
+                for field in DECODED_FIELDS:
+                    assert getattr(dec, field) == getattr(want, field)
 
     def test_random_programs_tables_match(self):
         for index in range(4):
             program, packed = random_packed(index)
-            params = model_params(ModelKind.BASELINE)
-            bundle = TracePrecompute.build(packed, bpred_signature(params))
-            sim = Simulator(program, packed, params)
-            assert bundle.mispredicted_list() == sim._mispredicted
-            assert bundle.history_list() == sim._history
-
-    def test_dependence_index_matches_entries(self):
-        _program, packed = random_packed(0)
-        word_addr, bab, dep, covers = (
-            TracePrecompute.build(packed, DEFAULT_SIG).dependence_index())
-        from repro.kernel.tracestore import NO_DEP
-        for i, entry in enumerate(packed):
-            assert int(word_addr[i]) == entry.word_addr
-            assert int(bab[i]) == entry.bab
-            want_dep = NO_DEP if entry.dep_store is None else entry.dep_store
-            assert int(dep[i]) == want_dep
-            want_covers = (
-                entry.dep_store is not None
-                and packed[entry.dep_store].word_addr == entry.word_addr
-                and (packed[entry.dep_store].bab & entry.bab) == entry.bab)
-            assert bool(covers[i]) == want_covers
+            entries = record_entries(program, max_instructions=200_000)
+            for params in (model_params(ModelKind.BASELINE),
+                           long_history(bits=5)):
+                bundle = TracePrecompute.build(packed,
+                                               bpred_signature(params))
+                mispredicted, history = sequential_reference(entries, params)
+                assert bundle.mispredicted_list() == mispredicted
+                assert bundle.history_list() == history
 
     def test_matches_rejects_overridden_predictor_geometry(self):
-        _program, _trace, packed = packed_case()
+        _program, _entries, packed = packed_case()
         bundle = TracePrecompute.build(packed, DEFAULT_SIG)
         params = model_params(ModelKind.BASELINE)
         assert bundle.matches(packed, params)
@@ -121,7 +141,7 @@ class TestBundleTables:
         assert not bundle.matches(packed, overridden)
 
     def test_decode_index_memoised_per_latency_signature(self):
-        _program, _trace, packed = packed_case()
+        _program, _entries, packed = packed_case()
         bundle = TracePrecompute.build(packed, DEFAULT_SIG)
         base = model_params(ModelKind.BASELINE)
         dmdp = model_params(ModelKind.DMDP)
@@ -130,19 +150,21 @@ class TestBundleTables:
                             mul_latency=base.mul_latency + 1)
         assert bundle.decode_index(slow) is not bundle.decode_index(base)
 
-    def test_entry_cache_is_shared_across_cached_trace_views(self):
-        _program, _trace, packed = packed_case()
+    def test_entry_list_is_built_once_and_shared(self):
+        program, _entries, packed = packed_case()
         bundle = TracePrecompute.build(packed, DEFAULT_SIG)
-        first = bundle.cached_trace()
-        second = bundle.cached_trace()
-        assert first[7] is second[7]           # one materialisation, shared
-        assert [e.index for e in first[3:6]] == [3, 4, 5]
-        assert first[-1].index == len(packed) - 1
-        assert sum(1 for _ in first) == len(packed)
+        entries = bundle.entry_list()
+        assert bundle.entry_list() is entries   # one materialisation
+        assert [e.index for e in entries[3:6]] == [3, 4, 5]
+        assert entries[-1].index == len(packed) - 1
+        assert len(entries) == len(packed)
+        sim = Simulator(program, packed, model_params(ModelKind.DMDP),
+                        precompute=bundle)
+        assert sim.trace is entries             # shared, not copied
 
     def test_base_memory_matches_direct_segment_load(self):
         from repro.kernel.memory import SparseMemory
-        program, _trace, packed = packed_case()
+        program, _entries, packed = packed_case()
         bundle = TracePrecompute.build(packed, DEFAULT_SIG)
         direct = SparseMemory()
         direct.load_segment(program.data_base, program.data)
@@ -156,49 +178,58 @@ class TestBundleTables:
 class TestGoldenBatchedIdentity:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.value)
     def test_stats_identical_list_packed_batched(self, model):
-        program, trace, packed = packed_case()
+        # The list recorder's entries packed after the fact, the columnar
+        # recorder's trace with a bundle the Simulator builds itself, and
+        # the same trace with a shared bundle: one SimStats.
+        program, entries, packed = packed_case()
         params = model_params(model)
         bundle = TracePrecompute.build(packed, bpred_signature(params))
-        from_list = Simulator(program, trace, params).run().to_dict()
-        from_packed = Simulator(program, packed, params).run().to_dict()
-        batched = Simulator(program, bundle.cached_trace(), params,
-                            precompute=bundle).run().to_dict()
-        assert from_packed == from_list
-        assert batched == from_list
+        from_list = Simulator(program, pack_trace(program, entries),
+                              params).run().to_dict()
+        adhoc = Simulator(program, packed, params).run().to_dict()
+        shared = Simulator(program, packed, params,
+                           precompute=bundle).run().to_dict()
+        assert adhoc == from_list
+        assert shared == adhoc
 
     def test_bundle_reuse_across_configs_is_identical(self):
         # The whole point of batching: one bundle, many configs.
-        program, _trace, packed = packed_case()
+        program, _entries, packed = packed_case()
         bundle = TracePrecompute.build(packed, DEFAULT_SIG)
         for model in (ModelKind.BASELINE, ModelKind.DMDP):
             for overrides in ({}, {"store_buffer_entries": 8}):
                 params = model_params(model, **overrides)
-                plain = Simulator(program, packed, params).run().to_dict()
-                shared = Simulator(program, bundle.cached_trace(), params,
+                adhoc = Simulator(program, packed, params).run().to_dict()
+                shared = Simulator(program, packed, params,
                                    precompute=bundle).run().to_dict()
-                assert shared == plain
+                assert shared == adhoc
 
     def test_overridden_geometry_falls_back_and_stays_identical(self):
-        program, _trace, packed = packed_case()
+        program, _entries, packed = packed_case()
         bundle = TracePrecompute.build(packed, DEFAULT_SIG)
         params = model_params(ModelKind.DMDP,
                               bpred_table_bits=DEFAULT_SIG[0] - 2)
-        sim = Simulator(program, bundle.cached_trace(), params,
-                        precompute=bundle)
-        assert sim._pre is None                # silently unbatched
+        sim = Simulator(program, packed, params, precompute=bundle)
+        assert sim._pre is not bundle          # built its own instead
+        assert sim._pre.signature == bpred_signature(params)
         assert (sim.run().to_dict()
                 == Simulator(program, packed, params).run().to_dict())
 
     def test_loaded_bundle_is_identical_to_built(self, tmp_path):
-        program, _trace, packed = packed_case()
+        program, _entries, packed = packed_case()
         params = model_params(ModelKind.DMDP)
         built = TracePrecompute.build(packed, DEFAULT_SIG)
         path = tmp_path / "mcf.pre"
         write_precompute(path, built)
         loaded = load_precompute(path, packed, DEFAULT_SIG)
-        assert (Simulator(program, loaded.cached_trace(), params,
+        assert (Simulator(program, packed, params,
                           precompute=loaded).run().to_dict()
                 == Simulator(program, packed, params).run().to_dict())
+
+    def test_list_trace_is_rejected(self):
+        program, entries, _packed = packed_case()
+        with pytest.raises(TypeError, match="FunctionalCpu.run_trace"):
+            Simulator(program, entries, model_params(ModelKind.DMDP))
 
 
 class TestSerialization:
@@ -221,7 +252,7 @@ class TestSerialization:
 
     def test_empty_trace_roundtrip(self):
         from repro.kernel import PackedTrace
-        program, _trace, _packed = packed_case()
+        program, _entries, _packed = packed_case()
         empty = PackedTrace.from_entries(program, [])
         bundle = TracePrecompute.build(empty, DEFAULT_SIG)
         assert bundle.n == 0
@@ -376,8 +407,9 @@ class TestRunnerBatching:
         assert timing.precomputes_built == 0
 
     def test_single_point_run_stays_precompute_free(self, tmp_path):
-        # Per-point runs must not pay the bundle build (the sweep
-        # benchmark's warm_store leg depends on this staying honest).
+        # Per-point runs must not resolve a shared bundle through the
+        # store (the sweep benchmark's warm_store leg depends on this
+        # staying honest); the Simulator builds a private one instead.
         runner = self.runner(tmp_path)
         runner.run("mcf", ModelKind.DMDP)
         assert runner.precomputes_built == 0

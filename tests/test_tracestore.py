@@ -3,11 +3,13 @@
 Three layers under test (DESIGN.md Section 12):
 
 * the encoding -- ``PackedTrace`` must reproduce every ``TraceEntry``
-  field exactly, both from a materialised list and when traced directly
-  into columnar form, across randomized programs covering loads/stores
-  of all sizes, partial-word overlaps, silent stores, and branches;
+  field the list ``TraceRecorder`` records (the field-fidelity
+  reference), both packed from that list and traced directly into
+  columnar form, across randomized programs covering loads/stores of all
+  sizes, partial-word overlaps, silent stores, and branches;
 * the golden bar -- ``Simulator`` statistics must be byte-identical
-  whether it consumes the list or the packed representation;
+  whether the packed trace came from the list recorder or the columnar
+  one;
 * the store -- corrupted/truncated/mismatched blobs read as clean
   misses, a trace-format bump invalidates both trace *and* result keys,
   and the runner + parallel engine perform zero functional re-traces
@@ -23,9 +25,9 @@ from repro.harness.cache import (NullCache, NullTraceStore, ResultCache,
 from repro.harness.parallel import make_point
 from repro.harness.runner import ExperimentRunner
 from repro.kernel import (MAX_TRACE_INSTRUCTIONS, FunctionalCpu, PackedTrace,
-                          pack_trace, run_trace_packed, write_trace)
+                          TraceRecorder, pack_trace, run_program,
+                          run_trace_packed, write_trace)
 from repro.uarch import ALL_MODELS, ModelKind, Simulator, model_params
-from repro.uarch.models import trace_program
 from repro.workloads import get_workload
 
 from .test_differential_oracle import SEED, build_random_program
@@ -48,11 +50,18 @@ def assert_entries_identical(packed, entries):
                    getattr(got, field), getattr(want, field)))
 
 
+def record_entries(program, max_instructions=200_000):
+    """The list ``TraceRecorder``'s entries: the field-fidelity reference."""
+    recorder = TraceRecorder()
+    FunctionalCpu(program).run(max_instructions=max_instructions,
+                               recorder=recorder)
+    return recorder.entries
+
+
 def random_case(index):
     rng = random.Random(SEED + index)
     program = build_random_program(rng)
-    trace = FunctionalCpu(program).run_trace(max_instructions=200_000)
-    return program, trace
+    return program, record_entries(program)
 
 
 def small_workload(name="mcf", fraction=0.1):
@@ -83,7 +92,7 @@ class TestPackedTraceFidelity:
         path = tmp_path / "case0.trc"
         write_trace(path, pack_trace(program, trace))
         loaded = load_trace(path, program)
-        assert loaded.columnar
+        assert isinstance(loaded, PackedTrace)
         assert_entries_identical(loaded, trace)
 
     def test_slice_and_iter(self):
@@ -132,7 +141,7 @@ class TestColumnAccessorEdgeCases:
             .text
         main: halt
         """)
-        trace = FunctionalCpu(program).run_trace()
+        trace = record_entries(program)
         assert len(trace) == 1
         packed = pack_trace(program, trace)
         assert list(packed.static_column())[:1] == [0]
@@ -146,7 +155,7 @@ class TestColumnAccessorEdgeCases:
         from repro.kernel import ExecutionError
         program, trace = random_case(5)
         cap = len(trace)
-        capped = FunctionalCpu(program).run_trace(max_instructions=cap)
+        capped = record_entries(program, max_instructions=cap)
         assert len(capped) == cap                # boundary: == cap is fine
         packed = pack_trace(program, capped)
         assert_entries_identical(packed, capped)
@@ -193,20 +202,24 @@ class TestColumnAccessorEdgeCases:
 class TestGoldenIdentity:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.value)
     def test_stats_identical_packed_vs_list(self, model):
+        # The list recorder's entries, packed, simulate exactly like the
+        # trace the columnar recorder produces directly.
         program = small_workload()
-        trace = FunctionalCpu(program).run_trace(
+        from_list = pack_trace(program, record_entries(
+            program, max_instructions=MAX_TRACE_INSTRUCTIONS))
+        direct = FunctionalCpu(program).run_trace(
             max_instructions=MAX_TRACE_INSTRUCTIONS)
-        packed = pack_trace(program, trace)
-        from_list = Simulator(program, trace, model_params(model)).run()
-        from_packed = Simulator(program, packed, model_params(model)).run()
-        assert from_packed.to_dict() == from_list.to_dict()
+        params = model_params(model)
+        assert (Simulator(program, direct, params).run().to_dict()
+                == Simulator(program, from_list, params).run().to_dict())
 
     def test_random_program_stats_identical(self):
         program, trace = random_case(3)
-        packed = pack_trace(program, trace)
         params = model_params(ModelKind.DMDP)
-        assert (Simulator(program, packed, params).run().to_dict()
-                == Simulator(program, trace, params).run().to_dict())
+        assert (Simulator(program, run_trace_packed(program),
+                          params).run().to_dict()
+                == Simulator(program, pack_trace(program, trace),
+                             params).run().to_dict())
 
 
 class TestTraceStore:
@@ -381,7 +394,7 @@ class TestTraceCaps:
     def test_single_cap_constant_everywhere(self):
         import inspect
         for func in (FunctionalCpu.run, FunctionalCpu.run_trace,
-                     run_trace_packed, trace_program):
+                     run_program):
             defaults = {
                 name: parameter.default
                 for name, parameter in
@@ -412,9 +425,6 @@ class TestSweepBenchCheck:
             "speedups": {"cold": 1.25, "warm_store": 1.33, "batched": 2.0,
                          "warm": 20.0},
             "batched_vs_warm_store": 1.5,
-            "rss": {"legacy_max_rss_kb": 50_000,
-                    "packed_max_rss_kb": 30_000,
-                    "drop_kb": 20_000, "drop_percent": 40.0},
             "ledger": {"points": 16, "repeats": 3,
                        "plain_seconds": 5.0, "ledger_seconds": 5.1,
                        "overhead_percent": 2.0, "spans": 27},
@@ -473,13 +483,6 @@ class TestSweepBenchCheck:
         checked = sweepbench.attach_check(payload, check=True)
         assert not checked["check"]["details"][
             "batched_zero_redundant_precompute"]
-
-    def test_fails_on_rss_regression(self):
-        from repro.harness import sweepbench
-        payload = self.payload()
-        payload["rss"]["drop_kb"] = -100
-        checked = sweepbench.attach_check(payload, check=True)
-        assert not checked["check"]["details"]["rss_drop_ok"]
 
     def test_disabled_check_records_nothing(self):
         from repro.harness import sweepbench

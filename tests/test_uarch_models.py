@@ -3,6 +3,7 @@
 import pytest
 
 from repro.isa import Instruction, Opcode, ProgramBuilder
+from repro.kernel import PackedTrace, run_program
 from repro.kernel.trace import TraceEntry
 from repro.uarch import (
     ALL_MODELS,
@@ -11,7 +12,6 @@ from repro.uarch import (
     baseline_params,
     run_all_models,
     run_model,
-    trace_program,
 )
 from repro.uarch.uops import DynInstr, Uop, UopKind, UopState
 from repro.isa import FuClass
@@ -33,27 +33,28 @@ def tiny_program():
 
 class TestModelFacade:
     def test_trace_program(self):
-        trace = trace_program(tiny_program())
+        trace = run_program(tiny_program())
+        assert isinstance(trace, PackedTrace)
         # la expands to lui+ori; li to addi: 7 instructions + halt.
         assert len(trace) == 7
         assert trace[-1].instr.op is Opcode.HALT
 
     def test_run_model_defaults(self):
         prog = tiny_program()
-        trace = trace_program(prog)
+        trace = run_program(prog)
         stats = run_model(prog, trace, ModelKind.DMDP)
         assert stats.instructions == len(trace)
 
     def test_run_model_applies_canonical_policy(self):
         prog = tiny_program()
-        trace = trace_program(prog)
+        trace = run_program(prog)
         stats = run_model(prog, trace, ModelKind.NOSQ,
                           params=baseline_params())
         assert stats.instructions == len(trace)
 
     def test_run_model_override_on_params(self):
         prog = tiny_program()
-        trace = trace_program(prog)
+        trace = run_program(prog)
         stats = run_model(prog, trace, ModelKind.DMDP,
                           params=baseline_params(), rob_entries=32)
         assert stats.instructions == len(trace)
