@@ -89,8 +89,8 @@ from typing import List, Optional
 from .config import ConfigSpec, ConfigError
 from .harness import (BatchFailure, ExperimentRunner, LedgerDir,
                       PrecomputeStore, ResultCache, RetryPolicy, SimPoint,
-                      TraceStore, default_ledger_dir, hotloop, spec_point,
-                      sweepbench)
+                      TraceStore, default_cache_dir, default_ledger_dir,
+                      hotloop, spec_point, sweepbench)
 from .harness.experiments import ALL_EXPERIMENTS
 from .harness.reporting import (format_failure_table, format_run_report,
                                 format_table)
@@ -751,47 +751,41 @@ def cmd_trace_report(args, out) -> int:
 
 
 def cmd_cache(args, out) -> int:
-    cache = ResultCache()
-    store = TraceStore(root=cache.root / "traces")
-    precomputes = PrecomputeStore(root=cache.root / "traces")
-    ledgers = LedgerDir(root=cache.root / "ledgers")
+    root = default_cache_dir()
+    cache = ResultCache(root)
+    traces = TraceStore(root / "traces")
+    bundles = PrecomputeStore(root / "traces")
+    ledgers = LedgerDir(root / "ledgers")
+    stores = (("cached result(s)", "entries", "size", cache),
+              ("trace blob(s)", "trace blobs", "trace size", traces),
+              ("precompute blob(s)", "precompute blobs", "precompute size",
+               bundles),
+              ("ledger(s)", "ledgers", "ledger size", ledgers))
     if args.action == "clear":
-        removed = cache.clear()
-        traces = store.clear()
-        bundles = precomputes.clear()
-        swept_ledgers = ledgers.clear()
-        print("removed %d cached result(s), %d trace blob(s), %d "
-              "precompute blob(s), and %d ledger(s) from %s"
-              % (removed, traces, bundles, swept_ledgers, cache.root),
-              file=out)
+        removed = ", ".join("%d %s" % (store.clear(), noun)
+                            for noun, _, _, store in stores)
+        print("removed %s from %s" % (removed, root), file=out)
         return 0
     if args.action == "gc":
-        # TraceStore.gc sweeps the whole shared traces/ tree, so orphaned
-        # precompute temp files are collected by the same pass; the
-        # ledger sweep collects *.jsonl.tmp files left by killed runs.
-        removed = cache.gc() + store.gc() + ledgers.gc()
-        print("swept %d orphaned temp file(s) from %s"
-              % (removed, cache.root), file=out)
+        # Trace and precompute blobs share the traces/ tree, so the first
+        # of the two sweeps collects its temp files and the second finds
+        # none: every orphan is counted once.
+        removed = sum(store.gc() for _, _, _, store in stores)
+        print("swept %d orphaned temp file(s) from %s" % (removed, root),
+              file=out)
         return 0
-    print("cache dir        %s" % cache.root, file=out)
-    print("entries          %d" % cache.entry_count(), file=out)
-    print("size             %.1f KiB" % (cache.size_bytes() / 1024.0),
-          file=out)
-    print("trace blobs      %d" % store.entry_count(), file=out)
-    print("trace size       %.1f KiB" % (store.size_bytes() / 1024.0),
-          file=out)
-    print("precompute blobs %d" % precomputes.entry_count(), file=out)
-    print("precompute size  %.1f KiB" % (precomputes.size_bytes() / 1024.0),
-          file=out)
-    print("ledgers          %d" % ledgers.entry_count(), file=out)
-    print("ledger size      %.1f KiB" % (ledgers.size_bytes() / 1024.0),
-          file=out)
-    print("orphaned tmp     %d" % (len(cache.tmp_files())
-                                   + len(store.tmp_files())
-                                   + len(ledgers.tmp_files())), file=out)
+    print("cache dir        %s" % root, file=out)
+    for _, count_label, size_label, store in stores:
+        print("%-16s %d" % (count_label, store.entry_count()), file=out)
+        print("%-16s %.1f KiB" % (size_label, store.size_bytes() / 1024.0),
+              file=out)
+    orphans = set()
+    for _, _, _, store in stores:
+        orphans.update(store.tmp_files())
+    print("orphaned tmp     %d" % len(orphans), file=out)
     print("code version     %s" % cache.version, file=out)
-    print("func version     %s" % store.version, file=out)
-    print("precompute ver   %s" % precomputes.version, file=out)
+    print("func version     %s" % traces.version, file=out)
+    print("precompute ver   %s" % bundles.version, file=out)
     return 0
 
 
@@ -1048,13 +1042,14 @@ def _phase_attribution(stats) -> List:
 
     Attributes the cumulative time of each phase's entry point --
     functional tracing (``FunctionalCpu.run``), whole-trace precompute
-    (the bundle build/load in ``kernel/precompute.py``, shared or built
+    (the bundle build in ``kernel/precompute.py``, shared or built
     inside ``Simulator.__init__``), timing simulation
-    (``Simulator.run``), and trace-store I/O (``load_trace`` /
-    ``PackedTrace.to_bytes``).  The phases never nest (a trace is fully
-    built or loaded before its simulation starts, and every precompute
-    entry point runs outside ``Simulator.run``), so the split is exact
-    up to harness overhead, reported as "other".
+    (``Simulator.run``), and trace-store I/O (decoding or encoding a
+    trace or bundle blob: ``load_trace`` / ``load_precompute`` /
+    ``to_bytes``), as the runner splits its phases.  The phases never
+    nest (a trace is fully built or loaded before its simulation starts,
+    and every precompute entry point runs outside ``Simulator.run``), so
+    the split is exact up to harness overhead, reported as "other".
     """
     phases = {"functional tracing": 0.0, "precompute": 0.0,
               "timing simulation": 0.0, "trace store I/O": 0.0}
@@ -1063,13 +1058,12 @@ def _phase_attribution(stats) -> List:
         path = filename.replace("\\", "/")
         if path.endswith("kernel/cpu.py") and funcname == "run":
             phases["functional tracing"] += cumulative
-        elif (path.endswith("kernel/precompute.py")
-                and funcname in ("build", "load_precompute")):
+        elif path.endswith("kernel/precompute.py") and funcname == "build":
             phases["precompute"] += cumulative
         elif path.endswith("uarch/pipeline.py") and funcname == "run":
             phases["timing simulation"] += cumulative
-        elif (path.endswith("kernel/tracestore.py")
-                and funcname in ("load_trace", "to_bytes")):
+        elif (path.endswith(("kernel/tracestore.py", "kernel/precompute.py"))
+                and funcname in ("load_trace", "load_precompute", "to_bytes")):
             phases["trace store I/O"] += cumulative
     total = stats.total_tt
     phases["other (harness)"] = max(0.0, total - sum(phases.values()))

@@ -1,7 +1,6 @@
 """Experiment harness: runner, cache, parallel engine, reproductions."""
 
-from .cache import (LedgerDir, NullCache, NullPrecomputeStore,
-                    NullTraceStore, PrecomputeStore, ResultCache,
+from .cache import (LedgerDir, NullCache, PrecomputeStore, ResultCache,
                     TraceStore, code_version, default_cache_dir,
                     default_ledger_dir, functional_version,
                     precompute_version)
@@ -18,8 +17,7 @@ from . import hotloop, paper_data, sweepbench
 
 __all__ = [
     "ExperimentRunner", "SimResult", "shared_runner",
-    "LedgerDir", "NullCache", "NullPrecomputeStore", "NullTraceStore",
-    "PrecomputeStore", "ResultCache", "TraceStore",
+    "LedgerDir", "NullCache", "PrecomputeStore", "ResultCache", "TraceStore",
     "code_version", "default_cache_dir", "default_ledger_dir",
     "functional_version", "precompute_version",
     "BatchFailure", "FailedPoint", "FaultInjector", "RetryPolicy",

@@ -1,20 +1,31 @@
-"""Persistent on-disk cache for simulation results.
+"""Persistent on-disk stores: results, traces, precompute bundles, ledgers.
 
-Every (workload, iteration count, model, parameter overrides, code version)
-point maps to a content-hash key; the :class:`SimResult` for that point is
-pickled under ``<cache_dir>/<key[:2]>/<key>.pkl``.  A warm run therefore
-skips tracing *and* simulation entirely, which is what makes repeated
-pytest/benchmark sessions cheap (see DESIGN.md Section 8).
+One store base (:class:`_BlobStore`) owns the atomic-publish writer, the
+reader that turns any decode error into a clean miss, and the
+maintenance sweeps; four kinds differ only in key material, suffix and
+codec (see DESIGN.md Section 8):
 
-The code version folded into every key is a hash over the simulator's own
-source tree (isa, kernel, uarch, workloads, energy), so editing anything
-that could change simulation results silently invalidates old entries --
-no manual cache management needed.  Harness/CLI files are deliberately
-excluded: they orchestrate runs but cannot change a point's outcome.
+* :class:`ResultCache` -- every (workload, iteration count, ConfigSpec,
+  code version) point maps to a content-hash key; the :class:`SimResult`
+  for that point is pickled under ``<cache_dir>/<key[:2]>/<key>.pkl``.
+  A warm run therefore skips tracing *and* simulation entirely.
+* :class:`TraceStore` / :class:`PrecomputeStore` -- packed functional
+  traces (``.trc``) and their precompute bundles (``.pre``) under
+  ``<cache_dir>/traces/``.
+* :class:`LedgerDir` -- maintenance over ``<cache_dir>/ledgers/``.
+
+The code version folded into every result key is a hash over the
+simulator's own source tree (isa, kernel, uarch, workloads, energy), so
+editing anything that could change simulation results silently
+invalidates old entries -- no manual cache management needed.
+Harness/CLI files are deliberately excluded: they orchestrate runs but
+cannot change a point's outcome.
 
 Cache location: ``$REPRO_CACHE_DIR`` if set, else ``.repro-cache`` under
-the current working directory.  Writes are atomic (tempfile + rename), so
-concurrent pytest sessions can safely share one cache.
+the current working directory (:func:`default_cache_dir`; every store
+takes its root explicitly, and a store with ``root=None`` is disabled).
+Writes are atomic (tempfile + rename), so concurrent pytest sessions can
+safely share one cache.
 """
 
 from __future__ import annotations
@@ -134,140 +145,68 @@ def default_ledger_dir() -> Path:
     return default_cache_dir() / "ledgers"
 
 
-class LedgerDir:
-    """Maintenance view over the sweep-ledger directory.
+class _BlobStore:
+    """One directory of content-addressed blobs: the base of every store.
 
-    Ledgers are not content-addressed (each run writes a fresh file),
-    but they share the cache tree's maintenance idiom: finalised
-    ``*.jsonl`` files are the entries, and ``*.jsonl.tmp`` orphans --
-    left by runs killed before :meth:`JsonlLedger.close` renamed them
-    -- are swept by :meth:`gc` exactly like the stores' atomic-write
-    temp files.
+    A store kind supplies its key material, its entry suffix and layout,
+    and its codec; this base owns everything else, once:
+
+    * the atomic-publish writer (tempfile + rename, so concurrent
+      sessions never observe a partial blob),
+    * the reader that turns *any* decode error into a clean miss (the
+      next put overwrites, i.e. repairs, the entry),
+    * maintenance: ``entries``/``entry_count``/``size_bytes``,
+      ``tmp_files`` and the ``gc``/``clear`` sweeps.
+
+    Entries live at ``<root>/<key[:2]>/<key><suffix>``.  A store whose
+    ``root`` is None is *disabled* (``--no-cache``): reads miss, writes
+    persist nothing, paths are None and maintenance reports an empty
+    store.
     """
 
-    suffix = ".jsonl"
+    suffix = ""
+    entry_glob = "??/*"          # the <key[:2]>/ fan-out
+    tmp_glob = "??/*.tmp"        # the writer's in-flight temp files
 
-    def __init__(self, root: Optional[Path] = None):
-        self.root = Path(root) if root is not None else default_ledger_dir()
-
-    # -- maintenance ---------------------------------------------------------
-
-    def entries(self):
-        return sorted(self.root.glob("*" + self.suffix))
-
-    def entry_count(self) -> int:
-        return len(self.entries())
-
-    def size_bytes(self) -> int:
-        total = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def tmp_files(self):
-        """Ledgers of runs that died before finalising (still ``.tmp``)."""
-        return sorted(self.root.glob("*" + self.suffix + ".tmp"))
-
-    def gc(self, min_age_seconds: float = 0.0) -> int:
-        """Sweep ``*.jsonl.tmp`` ledgers orphaned by killed runs."""
-        removed = 0
-        now = time.time()
-        for path in self.tmp_files():
-            try:
-                if now - path.stat().st_mtime >= min_age_seconds:
-                    path.unlink()
-                    removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def clear(self) -> int:
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        self.gc()
-        return removed
-
-
-class ResultCache:
-    """Content-addressed pickle store for :class:`SimResult` objects."""
-
-    def __init__(self, root: Optional[Path] = None,
-                 version: Optional[str] = None):
-        self.root = Path(root) if root is not None else default_cache_dir()
-        self.version = version if version is not None else code_version()
+    def __init__(self, root: Optional[Path]):
+        self.root = Path(root) if root is not None else None
         self.hits = 0
         self.misses = 0
 
-    # -- keys --------------------------------------------------------------
+    @staticmethod
+    def _digest(material: dict) -> str:
+        encoded = json.dumps(material, sort_keys=True).encode()
+        return hashlib.sha256(encoded).hexdigest()
 
-    def key_for_spec(self, workload: str, iterations: int, spec) -> str:
-        """Key for a :class:`~repro.config.ConfigSpec`-described point.
+    def _path(self, key: str) -> Optional[Path]:
+        if self.root is None:
+            return None
+        return self.root / key[:2] / (key + self.suffix)
 
-        The spec's canonical dict (model + default-dropped settings) is
-        the sole configuration material, so any two constructions of the
-        same parameters -- bare overrides, dotted ``--set`` flags, a grid
-        expansion -- hit one entry.  ``config_format`` versions the spec
-        vocabulary itself: bump it alongside CONFIG_FORMAT_VERSION when
-        the canonical settings encoding changes incompatibly.
-        """
-        material = json.dumps({
-            "format": FORMAT_VERSION,
-            "config_format": CONFIG_FORMAT_VERSION,
-            # Results are simulated *from* an encoded trace, so a trace
-            # format bump conservatively invalidates them too (instead of
-            # ever trusting stats derived from a mis-decoded blob).
-            "trace_format": tracestore.TRACE_FORMAT_VERSION,
-            "code": self.version,
-            "workload": workload,
-            "iterations": iterations,
-            "spec": spec.to_dict(),
-        }, sort_keys=True)
-        return hashlib.sha256(material.encode()).hexdigest()
-
-    def key_for(self, workload: str, iterations: int, model,
-                overrides: dict) -> str:
-        """Legacy overrides-dict key surface; derives the key from the
-        equivalent ConfigSpec so both entry points share one entry."""
-        from ..config import ConfigSpec
-        spec = ConfigSpec.from_overrides(model, **overrides)
-        return self.key_for_spec(workload, iterations, spec)
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / (key + ".pkl")
-
-    # -- storage ------------------------------------------------------------
-
-    def get(self, key: str):
-        path = self._path(key)
+    def _read(self, path: Optional[Path], decode, *args):
+        """``decode(path, *args)``, or None on a miss -- never raises."""
+        if path is None:
+            return None
         try:
-            with open(path, "rb") as handle:
-                result = pickle.load(handle)
+            value = decode(path, *args)
         except Exception:
-            # Any unreadable entry -- truncated pickle, garbage bytes,
-            # a payload whose class/module no longer exists -- is a
-            # clean miss; the next put() overwrites (repairs) it.
+            # Missing, truncated, garbage bytes, format-bumped, decoded
+            # for a different program/trace, or a pickle whose class no
+            # longer exists: a clean miss; the next put repairs it.
             self.misses += 1
             return None
         self.hits += 1
-        return result
+        return value
 
-    def put(self, key: str, result) -> None:
-        path = self._path(key)
+    def _write(self, path: Optional[Path], encode, *args) -> Optional[Path]:
+        """Atomically publish ``encode(*args)`` at ``path``; returns it."""
+        if path is None:
+            return None
         path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic publish: concurrent sessions never observe partial files.
-        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent),
-                                        suffix=".tmp")
+        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(encode(*args))
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -275,11 +214,15 @@ class ResultCache:
             except OSError:
                 pass
             raise
+        return path
 
-    # -- maintenance ----------------------------------------------------------
+    # -- maintenance ---------------------------------------------------------
+
+    def _glob(self, pattern: str):
+        return [] if self.root is None else sorted(self.root.glob(pattern))
 
     def entries(self):
-        return sorted(self.root.glob("??/*.pkl"))
+        return self._glob(self.entry_glob + self.suffix)
 
     def entry_count(self) -> int:
         return len(self.entries())
@@ -295,15 +238,15 @@ class ResultCache:
 
     def tmp_files(self):
         """In-flight (or orphaned) atomic-write temp files."""
-        return sorted(self.root.glob("??/*.tmp"))
+        return self._glob(self.tmp_glob)
 
     def gc(self, min_age_seconds: float = 0.0) -> int:
-        """Sweep ``*.tmp`` files orphaned by killed sessions.
+        """Sweep temp files orphaned by killed sessions.
 
         A live writer holds its temp file only for the duration of one
-        ``pickle.dump`` + rename, so anything older than
-        ``min_age_seconds`` (default: everything) is an orphan from a
-        session that died mid-put.  Returns the number removed.
+        write + rename, so anything older than ``min_age_seconds``
+        (default: everything) is an orphan from a session that died
+        mid-put.  Returns the number removed.
         """
         removed = 0
         now = time.time()
@@ -317,8 +260,8 @@ class ResultCache:
         return removed
 
     def clear(self) -> int:
-        """Delete every cached result (and sweep orphaned temp files);
-        returns the number of results removed."""
+        """Delete every entry (and sweep orphaned temp files); returns
+        the number of entries removed."""
         removed = 0
         for path in self.entries():
             try:
@@ -330,7 +273,57 @@ class ResultCache:
         return removed
 
 
-class TraceStore:
+def _unpickle(path: Path):
+    with open(path, "rb") as handle:
+        return pickle.load(handle)
+
+
+class ResultCache(_BlobStore):
+    """Content-addressed pickle store for :class:`SimResult` objects."""
+
+    suffix = ".pkl"
+
+    def __init__(self, root: Optional[Path], version: Optional[str] = None):
+        super().__init__(root)
+        self.version = version if version is not None else code_version()
+
+    def key_for_spec(self, workload: str, iterations: int, spec) -> str:
+        """Key for a :class:`~repro.config.ConfigSpec`-described point.
+
+        The spec's canonical dict (model + default-dropped settings) is
+        the sole configuration material, so any two constructions of the
+        same parameters -- bare overrides, dotted ``--set`` flags, a grid
+        expansion -- hit one entry.  ``config_format`` versions the spec
+        vocabulary itself: bump it alongside CONFIG_FORMAT_VERSION when
+        the canonical settings encoding changes incompatibly.
+        """
+        return self._digest({
+            "format": FORMAT_VERSION,
+            "config_format": CONFIG_FORMAT_VERSION,
+            # Results are simulated *from* an encoded trace, so a trace
+            # format bump conservatively invalidates them too (instead of
+            # ever trusting stats derived from a mis-decoded blob).
+            "trace_format": tracestore.TRACE_FORMAT_VERSION,
+            "code": self.version,
+            "workload": workload,
+            "iterations": iterations,
+            "spec": spec.to_dict(),
+        })
+
+    def get(self, key: str):
+        return self._read(self._path(key), _unpickle)
+
+    def put(self, key: str, result) -> None:
+        self._write(self._path(key), pickle.dumps, result,
+                    pickle.HIGHEST_PROTOCOL)
+
+
+def NullCache() -> ResultCache:
+    """A disabled result cache (``--no-cache``)."""
+    return ResultCache(None)
+
+
+class TraceStore(_BlobStore):
     """Persistent store of packed functional traces (DESIGN.md section 12).
 
     One blob per (workload, iterations, functional-semantics version,
@@ -338,148 +331,62 @@ class TraceStore:
     The key hashes only the *functional* sources (isa, kernel, workloads):
     timing-model edits keep traces valid, while any edit that could change
     what the functional CPU retires silently invalidates them.  Blobs are
-    written atomically and loaded read-only via ``mmap``, so every sweep
-    worker shares one page-cache copy; any unreadable/mismatched blob is
-    a clean miss, repaired by the next put.
+    loaded read-only via ``mmap``, so every sweep worker shares one
+    page-cache copy.
     """
 
-    def __init__(self, root: Optional[Path] = None,
-                 version: Optional[str] = None):
-        if root is not None:
-            self.root = Path(root)
-        else:
-            self.root = default_cache_dir() / "traces"
+    suffix = ".trc"
+
+    def __init__(self, root: Optional[Path], version: Optional[str] = None):
+        super().__init__(root)
         self.version = (version if version is not None
                         else functional_version())
-        self.hits = 0
-        self.misses = 0
-
-    # -- keys --------------------------------------------------------------
 
     def key_for(self, workload: str, iterations: int) -> str:
-        material = json.dumps({
+        return self._digest({
             "trace_format": tracestore.TRACE_FORMAT_VERSION,
             "functional": self.version,
             "workload": workload,
             "iterations": iterations,
-        }, sort_keys=True)
-        return hashlib.sha256(material.encode()).hexdigest()
+        })
 
-    def path_for(self, workload: str, iterations: int) -> Path:
-        key = self.key_for(workload, iterations)
-        return self.root / key[:2] / (key + ".trc")
-
-    # -- storage ------------------------------------------------------------
+    def path_for(self, workload: str, iterations: int) -> Optional[Path]:
+        return self._path(self.key_for(workload, iterations))
 
     def load(self, workload: str, iterations: int, program):
         """The packed trace for a point, or None (miss) -- never raises."""
-        path = self.path_for(workload, iterations)
-        try:
-            packed = tracestore.load_trace(path, program)
-        except Exception:
-            # Missing, truncated, garbage, format-bumped, or packed for a
-            # different program: a clean miss; the next put repairs it.
-            self.misses += 1
-            return None
-        self.hits += 1
-        return packed
+        return self._read(self.path_for(workload, iterations),
+                          tracestore.load_trace, program)
 
     def put(self, workload: str, iterations: int, packed) -> Optional[Path]:
-        """Atomically persist a trace; returns its path."""
-        packed = tracestore.pack_trace(packed.program, packed)
-        path = self.path_for(workload, iterations)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(packed.to_bytes())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
-
-    # -- maintenance ---------------------------------------------------------
-
-    def entries(self):
-        return sorted(self.root.glob("??/*.trc"))
-
-    def entry_count(self) -> int:
-        return len(self.entries())
-
-    def size_bytes(self) -> int:
-        total = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def tmp_files(self):
-        return sorted(self.root.glob("??/*.tmp"))
-
-    def gc(self, min_age_seconds: float = 0.0) -> int:
-        """Sweep ``*.tmp`` blobs orphaned by killed sessions."""
-        removed = 0
-        now = time.time()
-        for path in self.tmp_files():
-            try:
-                if now - path.stat().st_mtime >= min_age_seconds:
-                    path.unlink()
-                    removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def clear(self) -> int:
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        self.gc()
-        return removed
+        """Atomically persist a packed trace; returns its path."""
+        return self._write(self.path_for(workload, iterations),
+                           packed.to_bytes)
 
 
-class PrecomputeStore:
+class PrecomputeStore(_BlobStore):
     """Persistent store of whole-trace precompute bundles (DESIGN.md §14).
 
     One ``.pre`` blob per (workload, iterations, predictor signature,
     functional/trace-format/precompute versions) living in the *same*
-    ``traces/`` tree as the ``.trc`` blobs it annotates, so cache info,
-    gc, and clear naturally manage them together.  The key folds
+    ``traces/`` tree as the ``.trc`` blobs it annotates.  The key folds
     everything that can change the tables: the trace identity material
     (a bundle is meaningless without its trace) plus
     ``PRECOMPUTE_FORMAT_VERSION`` and a hash of the precompute/branch
     sources, so editing the predictor silently invalidates stale
-    bundles.  Blobs are CRC'd, written atomically, loaded read-only via
-    ``mmap``, and any unreadable/mismatched blob is a clean miss.
+    bundles.  Blobs are CRC'd and loaded read-only via ``mmap``.
     """
 
     suffix = ".pre"
 
-    def __init__(self, root: Optional[Path] = None,
-                 version: Optional[str] = None):
-        if root is not None:
-            self.root = Path(root)
-        else:
-            self.root = default_cache_dir() / "traces"
+    def __init__(self, root: Optional[Path], version: Optional[str] = None):
+        super().__init__(root)
         self.functional = (version if version is not None
                            else functional_version())
         self.version = precompute_version()
-        self.hits = 0
-        self.misses = 0
-
-    # -- keys --------------------------------------------------------------
 
     def key_for(self, workload: str, iterations: int, signature) -> str:
-        material = json.dumps({
+        return self._digest({
             "trace_format": tracestore.TRACE_FORMAT_VERSION,
             "precompute_format": precompute_mod.PRECOMPUTE_FORMAT_VERSION,
             "functional": self.functional,
@@ -487,175 +394,34 @@ class PrecomputeStore:
             "workload": workload,
             "iterations": iterations,
             "signature": list(signature),
-        }, sort_keys=True)
-        return hashlib.sha256(material.encode()).hexdigest()
+        })
 
-    def path_for(self, workload: str, iterations: int, signature) -> Path:
-        key = self.key_for(workload, iterations, signature)
-        return self.root / key[:2] / (key + self.suffix)
-
-    # -- storage ------------------------------------------------------------
+    def path_for(self, workload: str, iterations: int,
+                 signature) -> Optional[Path]:
+        return self._path(self.key_for(workload, iterations, signature))
 
     def load(self, workload: str, iterations: int, trace, signature):
         """The bundle for a (point, trace) pair, or None -- never raises."""
-        path = self.path_for(workload, iterations, signature)
-        try:
-            bundle = precompute_mod.load_precompute(path, trace, signature)
-        except Exception:
-            # Missing, truncated, garbage, format-bumped, or built for a
-            # different trace: a clean miss; the next put repairs it.
-            self.misses += 1
-            return None
-        self.hits += 1
-        return bundle
+        return self._read(self.path_for(workload, iterations, signature),
+                          precompute_mod.load_precompute, trace, signature)
 
     def put(self, workload: str, iterations: int, bundle) -> Optional[Path]:
         """Atomically persist a bundle; returns its path."""
-        path = self.path_for(workload, iterations, bundle.signature)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(bundle.to_bytes())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
-
-    # -- maintenance ---------------------------------------------------------
-    # Temp files in the shared traces/ tree are swept by TraceStore.gc
-    # (one sweep covers both blob kinds), so there is no gc() here.
-
-    def entries(self):
-        return sorted(self.root.glob("??/*" + self.suffix))
-
-    def entry_count(self) -> int:
-        return len(self.entries())
-
-    def size_bytes(self) -> int:
-        total = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def clear(self) -> int:
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        return self._write(
+            self.path_for(workload, iterations, bundle.signature),
+            bundle.to_bytes)
 
 
-class NullPrecomputeStore:
-    """Precompute-store stand-in that persists nothing (``--no-cache``)."""
+class LedgerDir(_BlobStore):
+    """Maintenance view over the sweep-ledger directory.
 
-    root = None
-    hits = 0
-    misses = 0
+    Ledgers are not content-addressed (each run writes a fresh file, see
+    :class:`~repro.obs.ledger.JsonlLedger`), so this kind only borrows
+    the store maintenance: finalised ``*.jsonl`` files are the entries,
+    and ``*.jsonl.tmp`` orphans -- left by runs killed before the ledger
+    was renamed into place -- are what :meth:`gc` sweeps.
+    """
 
-    def key_for(self, workload, iterations, signature) -> str:
-        return ""
-
-    def path_for(self, workload, iterations, signature):
-        return None
-
-    def load(self, workload, iterations, trace, signature):
-        return None
-
-    def put(self, workload, iterations, bundle):
-        return None
-
-    def entries(self):
-        return []
-
-    def entry_count(self) -> int:
-        return 0
-
-    def size_bytes(self) -> int:
-        return 0
-
-    def clear(self) -> int:
-        return 0
-
-
-class NullTraceStore:
-    """Trace-store stand-in that persists nothing (``--no-cache``)."""
-
-    root = None
-    hits = 0
-    misses = 0
-
-    def key_for(self, workload, iterations) -> str:
-        return ""
-
-    def path_for(self, workload, iterations):
-        return None
-
-    def load(self, workload, iterations, program):
-        return None
-
-    def put(self, workload, iterations, packed):
-        return None
-
-    def entries(self):
-        return []
-
-    def entry_count(self) -> int:
-        return 0
-
-    def size_bytes(self) -> int:
-        return 0
-
-    def tmp_files(self):
-        return []
-
-    def gc(self, min_age_seconds: float = 0.0) -> int:
-        return 0
-
-    def clear(self) -> int:
-        return 0
-
-
-class NullCache:
-    """Cache stand-in that stores nothing (``--no-cache``)."""
-
-    root = None
-    hits = 0
-    misses = 0
-
-    def key_for(self, workload, iterations, model, overrides) -> str:
-        return ""
-
-    def key_for_spec(self, workload, iterations, spec) -> str:
-        return ""
-
-    def get(self, key):
-        return None
-
-    def put(self, key, result) -> None:
-        pass
-
-    def entry_count(self) -> int:
-        return 0
-
-    def size_bytes(self) -> int:
-        return 0
-
-    def tmp_files(self):
-        return []
-
-    def gc(self, min_age_seconds: float = 0.0) -> int:
-        return 0
-
-    def clear(self) -> int:
-        return 0
+    suffix = ".jsonl"
+    entry_glob = "*"
+    tmp_glob = "*.jsonl.tmp"

@@ -74,10 +74,6 @@ class SimPoint:
         so even a hand-built point with legacy bare names resolves)."""
         return ConfigSpec.from_overrides(self.model, **dict(self.overrides))
 
-    @property
-    def override_dict(self) -> dict:
-        return dict(self.overrides)
-
 
 def make_point(workload: str, model: ModelKind, **overrides) -> SimPoint:
     """Build a validated point from legacy keyword overrides.

@@ -3,8 +3,9 @@ them under arbitrary model/parameter combinations with three cache layers:
 
 1. an in-process memo (same runner, same point -> same object),
 2. a persistent on-disk result cache (:mod:`repro.harness.cache`), keyed
-   by a content hash of (workload, iterations, model, overrides, code
-   version), so warm pytest/benchmark sessions skip simulation entirely,
+   by a content hash of (workload, iterations, ConfigSpec canonical dict,
+   code version), so warm pytest/benchmark sessions skip simulation
+   entirely,
 3. a parallel fan-out engine (:mod:`repro.harness.parallel`) that maps
    batches of points over multiprocessing workers.
 
@@ -39,8 +40,8 @@ from ..obs.ledger import NULL_LEDGER, PHASE_NAMES
 from ..uarch import CoreParams, ModelKind, SimStats, model_params
 from ..uarch.pipeline import Simulator
 from ..workloads import ALL_NAMES, get_workload
-from .cache import (NullCache, NullPrecomputeStore, NullTraceStore,
-                    PrecomputeStore, ResultCache, TraceStore, canonical)
+from .cache import (PrecomputeStore, ResultCache, TraceStore, canonical,
+                    default_cache_dir)
 from .parallel import (BatchTiming, ParallelEngine, PointTiming, SimPoint,
                        make_point, spec_point)
 from .resilience import BatchFailure, FailedPoint, RetryPolicy
@@ -101,27 +102,19 @@ class ExperimentRunner:
         self.failure_log: List[FailedPoint] = []
         self._failed_keys: Dict[Tuple, FailedPoint] = {}
         self.metrics_log: Dict[Tuple, Dict[str, object]] = {}
-        if cache is not None:
-            self.cache = cache
-        elif use_cache:
-            self.cache = ResultCache()
-        else:
-            self.cache = NullCache()
-        if trace_store is not None:
-            self.trace_store = trace_store
-        elif getattr(self.cache, "root", None) is not None:
-            # Keep trace blobs beside the result entries they feed.
-            self.trace_store = TraceStore(root=self.cache.root / "traces")
-        else:
-            self.trace_store = NullTraceStore()
-        if precompute_store is not None:
-            self.precompute_store = precompute_store
-        elif getattr(self.trace_store, "root", None) is not None:
-            # Precompute bundles live beside the trace blobs they annotate.
-            self.precompute_store = PrecomputeStore(
-                root=self.trace_store.root)
-        else:
-            self.precompute_store = NullPrecomputeStore()
+        # A store with root None is disabled; each default store lives
+        # beside the one it feeds (traces under the result cache, bundles
+        # beside the traces they annotate).
+        if cache is None:
+            cache = ResultCache(default_cache_dir() if use_cache else None)
+        self.cache = cache
+        if trace_store is None:
+            trace_store = TraceStore(
+                cache.root / "traces" if cache.root is not None else None)
+        self.trace_store = trace_store
+        if precompute_store is None:
+            precompute_store = PrecomputeStore(trace_store.root)
+        self.precompute_store = precompute_store
         self.progress = progress
         self._programs: Dict[str, Program] = {}
         self._traces: Dict[str, PackedTrace] = {}
@@ -170,55 +163,57 @@ class ExperimentRunner:
         """
         if workload not in self._traces:
             program = self.program(workload)
-            iterations = self.iterations(workload)
-            start = time.perf_counter()
-            packed = self.trace_store.load(workload, iterations, program)
-            self.phase_seconds["trace store I/O"] += (time.perf_counter()
-                                                      - start)
-            if packed is not None:
+            packed, loaded = self._through_store(
+                "trace", self.trace_store, workload, (program,), (),
+                "functional tracing", lambda: run_trace_packed(program))
+            if loaded:
                 self.traces_loaded += 1
-                if self.ledger.enabled:
-                    self.ledger.emit(
-                        "store.trace", workload=workload, event="hit",
-                        bytes=self._blob_size(
-                            self.trace_store.path_for(workload, iterations)))
             else:
-                # A blob that exists but failed to decode (truncated,
-                # format-bumped, stale) is a corrupt-miss, not a cold one.
-                stale = None
-                if self.ledger.enabled:
-                    stale = self.trace_store.path_for(workload, iterations)
-                    stale = stale is not None and stale.exists()
-                start = time.perf_counter()
-                packed = run_trace_packed(program)
-                self.phase_seconds["functional tracing"] += (
-                    time.perf_counter() - start)
                 self.traces_generated += 1
-                start = time.perf_counter()
-                self.trace_store.put(workload, iterations, packed)
-                self.phase_seconds["trace store I/O"] += (time.perf_counter()
-                                                          - start)
-                if self.ledger.enabled:
-                    self.ledger.emit(
-                        "store.trace", workload=workload,
-                        event="corrupt-miss" if stale else "build",
-                        bytes=self._blob_size(
-                            self.trace_store.path_for(workload, iterations)))
             self._traces[workload] = packed
         return self._traces[workload]
 
-    @staticmethod
-    def _blob_size(path) -> Optional[int]:
-        if path is None:
-            return None
-        try:
-            return path.stat().st_size
-        except OSError:
-            return None
+    def _through_store(self, kind: str, store, workload: str, load_args,
+                       key_args, build_phase: str, build):
+        """Resolve one blob: store load, else build + put.
+
+        Returns ``(value, loaded)``.  Store reads and writes are charged
+        to the "trace store I/O" phase and only the build to
+        ``build_phase``; with a ledger attached, one ``store.<kind>``
+        event records the hit, build, or corrupt-miss (a blob that
+        existed but failed to decode).
+        """
+        iterations = self.iterations(workload)
+        path = (store.path_for(workload, iterations, *key_args)
+                if self.ledger.enabled else None)
+        start = time.perf_counter()
+        value = store.load(workload, iterations, *load_args)
+        io_seconds = time.perf_counter() - start
+        event = "hit"
+        if value is None:
+            event = ("corrupt-miss" if path is not None and path.exists()
+                     else "build")
+            start = time.perf_counter()
+            value = build()
+            built = time.perf_counter()
+            store.put(workload, iterations, value)
+            io_seconds += time.perf_counter() - built
+            self.phase_seconds[build_phase] += built - start
+        self.phase_seconds["trace store I/O"] += io_seconds
+        if self.ledger.enabled:
+            size = None
+            if path is not None:
+                try:
+                    size = path.stat().st_size
+                except OSError:
+                    pass
+            self.ledger.emit("store." + kind, workload=workload,
+                             event=event, bytes=size)
+        return value, event == "hit"
 
     def ensure_trace(self, workload: str) -> Optional[str]:
         """Make sure the store holds this workload's trace; returns its
-        path (None when the store is a :class:`NullTraceStore`), so batch
+        path (None when the store is disabled), so batch
         fan-out can hand workers a blob to map instead of re-tracing."""
         self.trace(workload)
         path = self.trace_store.path_for(workload,
@@ -269,39 +264,14 @@ class ExperimentRunner:
         if bundle is None:
             trace = self.trace(workload)
             signature = self._bpred_signature()
-            iterations = self.iterations(workload)
-            start = time.perf_counter()
-            bundle = self.precompute_store.load(
-                workload, iterations, trace, signature)
-            self.phase_seconds["precompute"] += time.perf_counter() - start
-            if bundle is not None:
+            bundle, loaded = self._through_store(
+                "precompute", self.precompute_store, workload,
+                (trace, signature), (signature,), "precompute",
+                lambda: TracePrecompute.build(trace, signature))
+            if loaded:
                 self.precomputes_loaded += 1
-                if self.ledger.enabled:
-                    self.ledger.emit(
-                        "store.precompute", workload=workload, event="hit",
-                        bytes=self._blob_size(self.precompute_store.path_for(
-                            workload, iterations, signature)))
             else:
-                stale = None
-                if self.ledger.enabled:
-                    stale = self.precompute_store.path_for(
-                        workload, iterations, signature)
-                    stale = stale is not None and stale.exists()
-                start = time.perf_counter()
-                bundle = TracePrecompute.build(trace, signature)
                 self.precomputes_built += 1
-                self.phase_seconds["precompute"] += (time.perf_counter()
-                                                     - start)
-                start = time.perf_counter()
-                self.precompute_store.put(workload, iterations, bundle)
-                self.phase_seconds["trace store I/O"] += (time.perf_counter()
-                                                          - start)
-                if self.ledger.enabled:
-                    self.ledger.emit(
-                        "store.precompute", workload=workload,
-                        event="corrupt-miss" if stale else "build",
-                        bytes=self._blob_size(self.precompute_store.path_for(
-                            workload, iterations, signature)))
             self._precomputes[workload] = bundle
         return bundle
 
@@ -663,7 +633,7 @@ class ExperimentRunner:
                     "point.failed", workload=failure.point.workload,
                     model=failure.point.model.value, cause=failure.kind,
                     attempts=failure.attempts,
-                    overrides=(canonical(failure.point.override_dict)
+                    overrides=(canonical(failure.point.spec.setting_dict())
                                if failure.point.overrides else None),
                     detail=failure.detail or None)
             # "timing simulation" is the summed per-point simulation

@@ -55,7 +55,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..config import ConfigSpec, SpecGrid
 from ..uarch import ModelKind
-from .cache import NullCache, NullTraceStore, ResultCache, TraceStore
+from .cache import ResultCache, TraceStore
 from .hotloop import SCHEMA, calibrate, write_report  # shared report idiom
 from .runner import ExperimentRunner
 
@@ -119,12 +119,9 @@ def bench_points() -> List[Tuple[str, ConfigSpec]]:
 
 def _leg_runner(scale: Optional[float], store_root: Optional[Path],
                 cache_root: Optional[Path]) -> ExperimentRunner:
-    return ExperimentRunner(
-        scale=scale, jobs=1,
-        cache=(ResultCache(root=cache_root) if cache_root is not None
-               else NullCache()),
-        trace_store=(TraceStore(root=store_root) if store_root is not None
-                     else NullTraceStore()))
+    return ExperimentRunner(scale=scale, jobs=1,
+                            cache=ResultCache(root=cache_root),
+                            trace_store=TraceStore(root=store_root))
 
 
 def _run_leg(leg: str, scale: Optional[float],

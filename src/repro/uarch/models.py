@@ -11,7 +11,8 @@ from typing import Dict, Optional
 
 from ..isa import Program
 from ..kernel import PackedTrace, run_program
-from .params import CoreParams, ModelKind, model_params
+from .params import (CoreParams, ModelKind, _check_override_names,
+                     model_params)
 from .pipeline import Simulator
 from .stats import SimStats
 
@@ -25,7 +26,8 @@ def run_model(program: Program, trace: PackedTrace, model: ModelKind,
 
     ``params`` supplies a base configuration (its ``model`` and confidence
     policy are overridden to the canonical ones for ``model``); keyword
-    overrides are applied on top.
+    overrides are applied on top; an unknown override name raises
+    :class:`~repro.uarch.params.ConfigError` either way.
     """
     if params is None:
         params = model_params(model, **overrides)
@@ -33,6 +35,7 @@ def run_model(program: Program, trace: PackedTrace, model: ModelKind,
         params = params.with_model(model)
         if overrides:
             import dataclasses
+            _check_override_names(overrides)
             params = dataclasses.replace(params, **overrides)
     return Simulator(program, trace, params).run()
 

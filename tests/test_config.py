@@ -412,15 +412,18 @@ class TestKeyCanonicalization:
     @given(model=st.sampled_from(ALL_MODELS), payload=_overrides_st)
     def test_legacy_key_for_matches_spec_key(self, model, payload):
         spec = ConfigSpec.create(model, payload)
-        assert (self.cache.key_for("w", 3, model, payload)
+        assert (self.cache.key_for_spec(
+                    "w", 3, ConfigSpec.from_overrides(model, **payload))
                 == self.cache.key_for_spec("w", 3, spec))
 
     def test_key_for_is_order_insensitive(self):
         fwd = {"core.rob_entries": 512, "core.consistency": "rmo"}
         rev = {"core.consistency": Consistency.RMO,
                "core.rob_entries": 512.0}
-        assert (self.cache.key_for("w", 3, ModelKind.DMDP, fwd)
-                == self.cache.key_for("w", 3, ModelKind.DMDP, rev))
+        assert (self.cache.key_for_spec(
+                    "w", 3, ConfigSpec.from_overrides(ModelKind.DMDP, **fwd))
+                == self.cache.key_for_spec(
+                    "w", 3, ConfigSpec.from_overrides(ModelKind.DMDP, **rev)))
 
     def test_iterations_and_workload_still_distinguish(self):
         spec = ConfigSpec.create(ModelKind.DMDP)

@@ -8,6 +8,7 @@ cache must satisfy a repeat session without a single simulation.
 
 import pytest
 
+from repro.config import ConfigSpec
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.parallel import SimPoint, make_point
@@ -112,8 +113,8 @@ def test_no_cache_runner_leaves_disk_untouched(tmp_path, monkeypatch):
 
 def test_overrides_key_is_order_insensitive(tmp_path):
     cache = ResultCache(root=tmp_path, version="v")
-    key_a = cache.key_for("bzip2", 50, ModelKind.DMDP,
-                          {"rob_entries": 128, "store_buffer_entries": 16})
-    key_b = cache.key_for("bzip2", 50, ModelKind.DMDP,
-                          {"store_buffer_entries": 16, "rob_entries": 128})
+    key_a = cache.key_for_spec("bzip2", 50, ConfigSpec.from_overrides(
+        ModelKind.DMDP, rob_entries=128, store_buffer_entries=16))
+    key_b = cache.key_for_spec("bzip2", 50, ConfigSpec.from_overrides(
+        ModelKind.DMDP, store_buffer_entries=16, rob_entries=128))
     assert key_a == key_b

@@ -385,6 +385,20 @@ class TestRunnerBatching:
         assert timing.precomputes_loaded == 2
         assert warm.traces_generated == 0             # trace store warm too
 
+    def test_warm_bundle_load_is_store_io_not_precompute(self, tmp_path):
+        # Store reads and writes are "trace store I/O"; the "precompute"
+        # phase is charged only for a build.
+        cold = self.runner(tmp_path)
+        cold.precompute_for("mcf")
+        assert cold.phase_seconds["precompute"] > 0.0
+        warm = self.runner(tmp_path)
+        warm.trace("mcf")
+        io_before = warm.phase_seconds["trace store I/O"]
+        warm.precompute_for("mcf")
+        assert warm.precomputes_loaded == 1
+        assert warm.phase_seconds["precompute"] == 0.0
+        assert warm.phase_seconds["trace store I/O"] > io_before
+
     def test_batched_results_identical_to_unbatched(self, tmp_path):
         batched = self.runner(tmp_path)
         out = batched.run_batch(self.points())

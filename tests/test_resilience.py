@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+from repro.config import ConfigSpec
 from repro.harness.cache import FORMAT_VERSION, ResultCache
 from repro.harness.parallel import BatchTiming, ParallelEngine, make_point
 from repro.harness.reporting import format_failure_table, format_run_report
@@ -395,7 +396,8 @@ class TestSharedRunner:
 class TestCacheRobustness:
     def entry(self, tmp_path):
         cache = ResultCache(root=tmp_path / "cache", version="v1")
-        key = cache.key_for("bzip2", 50, ModelKind.DMDP, {})
+        key = cache.key_for_spec("bzip2", 50,
+                                 ConfigSpec.from_overrides(ModelKind.DMDP))
         return cache, key
 
     def test_size_bytes_skips_vanished_entries(self, tmp_path,
@@ -444,7 +446,8 @@ class TestCacheRobustness:
         monkeypatch.setattr(cache_module, "FORMAT_VERSION",
                             FORMAT_VERSION + 1)
         bumped = ResultCache(root=tmp_path / "cache", version="v1")
-        new_key = bumped.key_for("bzip2", 50, ModelKind.DMDP, {})
+        new_key = bumped.key_for_spec(
+            "bzip2", 50, ConfigSpec.from_overrides(ModelKind.DMDP))
         assert new_key != key
         assert bumped.get(new_key) is None           # miss, no crash
         bumped.put(new_key, {"stats": 2})            # repaired going forward
@@ -496,9 +499,20 @@ class TestResilienceCli:
         orphan_dir = tmp_path / "c" / "ab"
         orphan_dir.mkdir(parents=True)
         (orphan_dir / "dead.tmp").write_bytes(b"x")
+        # One orphan in each other tree: the traces/ tree is shared by
+        # the .trc and .pre kinds, so a .pre temp file must count once.
+        bundle_dir = tmp_path / "c" / "traces" / "cd"
+        bundle_dir.mkdir(parents=True)
+        (bundle_dir / "dead.pre.tmp").write_bytes(b"x")
+        ledger_dir = tmp_path / "c" / "ledgers"
+        ledger_dir.mkdir()
+        (ledger_dir / "run.jsonl.tmp").write_bytes(b"x")
+        code, text = self.run_cli("cache", "info")
+        assert code == 0
+        assert re.search(r"orphaned tmp\s+3\b", text)
         code, text = self.run_cli("cache", "gc")
         assert code == 0
-        assert "swept 1 orphaned temp file(s)" in text
+        assert "swept 3 orphaned temp file(s)" in text
         code, text = self.run_cli("cache", "info")
         assert code == 0
         assert re.search(r"orphaned tmp\s+0\b", text)

@@ -20,8 +20,8 @@ import random
 
 import pytest
 
-from repro.harness.cache import (NullCache, NullTraceStore, ResultCache,
-                                 TraceStore)
+from repro.config import ConfigSpec
+from repro.harness.cache import NullCache, ResultCache, TraceStore
 from repro.harness.parallel import make_point
 from repro.harness.runner import ExperimentRunner
 from repro.kernel import (MAX_TRACE_INSTRUCTIONS, FunctionalCpu, PackedTrace,
@@ -292,10 +292,11 @@ class TestTraceStore:
         # must conservatively invalidate them too.
         from repro.kernel import tracestore
         cache = ResultCache(root=tmp_path / "cache", version="v1")
-        old_key = cache.key_for("bzip2", 50, ModelKind.DMDP, {})
+        spec = ConfigSpec.from_overrides(ModelKind.DMDP)
+        old_key = cache.key_for_spec("bzip2", 50, spec)
         monkeypatch.setattr(tracestore, "TRACE_FORMAT_VERSION",
                             tracestore.TRACE_FORMAT_VERSION + 1)
-        assert cache.key_for("bzip2", 50, ModelKind.DMDP, {}) != old_key
+        assert cache.key_for_spec("bzip2", 50, spec) != old_key
 
     def test_functional_version_in_key(self, tmp_path):
         a = TraceStore(root=tmp_path / "t", version="v1")
@@ -315,12 +316,16 @@ class TestTraceStore:
         assert store.entries() == []
 
     def test_null_store_is_inert(self):
-        store = NullTraceStore()
+        # "Disabled" is a store without a root.
+        store = TraceStore(root=None)
         program, trace = random_case(0)
         assert store.put("x", 1, pack_trace(program, trace)) is None
         assert store.load("x", 1, program) is None
         assert store.path_for("x", 1) is None
         assert store.entry_count() == 0
+        assert store.tmp_files() == []
+        assert store.gc() == 0
+        assert store.clear() == 0
 
 
 class TestRunnerIntegration:
@@ -348,7 +353,9 @@ class TestRunnerIntegration:
 
     def test_no_cache_disables_trace_store_too(self):
         runner = ExperimentRunner(scale=0.1, use_cache=False)
-        assert isinstance(runner.trace_store, NullTraceStore)
+        assert runner.cache.root is None
+        assert runner.trace_store.root is None
+        assert runner.precompute_store.root is None
 
     def test_attach_trace_bad_blob_falls_back_to_retrace(self, tmp_path):
         runner = self.runner(tmp_path)

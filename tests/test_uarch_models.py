@@ -8,6 +8,7 @@ from repro.kernel.trace import TraceEntry
 from repro.uarch import (
     ALL_MODELS,
     ConfidencePolicy,
+    ConfigError,
     ModelKind,
     baseline_params,
     run_all_models,
@@ -58,6 +59,20 @@ class TestModelFacade:
         stats = run_model(prog, trace, ModelKind.DMDP,
                           params=baseline_params(), rob_entries=32)
         assert stats.instructions == len(trace)
+
+    @pytest.mark.parametrize("params", [None, "baseline"])
+    def test_run_model_rejects_typoed_override(self, params):
+        # With or without a base ``params``, an unknown override name is a
+        # ConfigError with a did-you-mean hint, never a bare TypeError
+        # from dataclasses.replace.
+        prog = tiny_program()
+        trace = run_program(prog)
+        base = baseline_params() if params else None
+        with pytest.raises(ConfigError) as err:
+            run_model(prog, trace, ModelKind.DMDP, params=base,
+                      rob_entrees=64)
+        assert err.value.key == "rob_entrees"
+        assert "rob_entries" in str(err.value)
 
     def test_run_all_models(self):
         results = run_all_models(tiny_program())
