@@ -33,21 +33,6 @@ Commands
     (task timeline, retry/failure/straggler summary, cache efficiency,
     phase breakdown), ``diff`` compares two ledgers, ``validate``
     checks every span against the schema.
-``bench-hotloop``
-    Measure simulator hot-loop throughput (cycles/sec per model) plus
-    the batched multi-config leg (shared precompute bundle vs. fresh
-    per-config construction) and write ``BENCH_hotloop.json``;
-    ``--check`` fails on regression vs. the committed baseline, on a
-    batched leg slower than its floor, or on any batched-vs-unbatched
-    SimStats mismatch.
-``bench-sweep``
-    Measure end-to-end sweep cost under five trace-store/result-cache
-    regimes -- including the ``batched`` leg, which submits the whole
-    matrix through one per-trace-grouped ``run_batch`` -- plus ledger
-    overhead, and write ``BENCH_sweep.json``; ``--check`` fails when the
-    warm or batched sweeps miss their speedup floors, a warm leg
-    performs any functional re-trace, or the batched leg resolves more
-    than one precompute per trace (see DESIGN.md Sections 12 and 14).
 ``fuzz run / repro / corpus / profiles``
     Differential fuzzing farm (see DESIGN.md Section 13): ``run``
     executes a seeded campaign of pathology-biased programs through the
@@ -60,9 +45,10 @@ Commands
 Global flags: ``--jobs N`` fans simulation points out over N worker
 processes; ``--no-cache`` disables the persistent result cache (location:
 ``$REPRO_CACHE_DIR``, default ``.repro-cache``); ``--profile`` runs the
-command under cProfile and prints the top-25 cumulative report plus a
-phase split (functional tracing vs. whole-trace precompute vs. timing
-simulation vs. trace-store I/O); ``--ledger [PATH]`` records every
+command under cProfile and prints the top-25 cumulative report plus the
+runners' phase split in the ledger's phase vocabulary (functional
+tracing, precompute, timing simulation, trace store I/O, and the
+remainder as "other (harness)"); ``--ledger [PATH]`` records every
 sweep's telemetry spans to an append-only JSONL ledger (default
 location: ``<cache>/ledgers/``); ``--progress`` renders live sweep
 health from the same span stream (single repainted line on a TTY,
@@ -90,7 +76,7 @@ from .config import ConfigSpec, ConfigError
 from .harness import (BatchFailure, ExperimentRunner, LedgerDir,
                       PrecomputeStore, ResultCache, RetryPolicy, SimPoint,
                       TraceStore, default_cache_dir, default_ledger_dir,
-                      hotloop, spec_point, sweepbench)
+                      spec_point)
 from .harness.experiments import ALL_EXPERIMENTS
 from .harness.reporting import (format_failure_table, format_run_report,
                                 format_table)
@@ -196,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "($REPRO_CACHE_DIR, default .repro-cache)")
     parser.add_argument("--profile", action="store_true",
                         help="run the command under cProfile and print the "
-                             "top-25 cumulative report")
+                             "top-25 cumulative report plus the runners' "
+                             "phase split (the ledger's phase names)")
     parser.add_argument("--profile-output", default=None, metavar="PATH",
                         help="with --profile: dump raw cProfile stats to "
                              "PATH (default: repro.prof)")
@@ -320,52 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="check every span against the schema")
     ledger_validate.add_argument("paths", nargs="+", metavar="LEDGER.jsonl")
 
-    bench = sub.add_parser("bench-hotloop",
-                           help="measure simulator hot-loop throughput "
-                                "(cycles/sec per model)")
-    bench.add_argument("--smoke", action="store_true",
-                       help="quarter-scale run for CI")
-    bench.add_argument("--check", action="store_true",
-                       help="exit non-zero when throughput regresses >"
-                            + str(round(100 * (1 -
-                                               hotloop.REGRESSION_THRESHOLD)))
-                            + "%% vs. the committed baseline")
-    bench.add_argument("--repeats", type=int, default=1,
-                       help="best-of-N timing per point (default: 1)")
-    bench.add_argument("--output", default="BENCH_hotloop.json",
-                       metavar="PATH", help="report path "
-                                            "(default: BENCH_hotloop.json)")
-    bench.add_argument("--baseline", default=None, metavar="PATH",
-                       help="baseline file (default: benchmarks/results/"
-                            "BENCH_hotloop_baseline.json)")
-    bench.add_argument("--update-baseline", default=None,
-                       choices=("before", "after"),
-                       help="record this run as the committed "
-                            "before/after reference")
-
-    sweep = sub.add_parser("bench-sweep",
-                           help="measure end-to-end sweep cost with the "
-                                "trace store cold/warm vs. the legacy "
-                                "re-trace-every-point path")
-    sweep.add_argument("--smoke", action="store_true",
-                       help="quarter-scale run for CI")
-    sweep.add_argument("--check", action="store_true",
-                       help="exit non-zero unless the warm sweep is >= %.1fx"
-                            " faster than legacy, the batched leg is >= "
-                            "%.1fx faster than the ungrouped warm-store leg"
-                            " with exactly one precompute per trace, the "
-                            "warm legs perform zero functional re-traces, "
-                            "and recording a --ledger adds <= %.0f%% to a warm "
-                            "batched sweep"
-                            % (sweepbench.MIN_WARM_SPEEDUP,
-                               sweepbench.MIN_BATCHED_SPEEDUP,
-                               sweepbench.MAX_LEDGER_OVERHEAD_PERCENT))
-    sweep.add_argument("--repeats", type=int, default=3,
-                       help="best-of-N timing per leg (default: 3)")
-    sweep.add_argument("--output", default="BENCH_sweep.json",
-                       metavar="PATH", help="report path "
-                                            "(default: BENCH_sweep.json)")
-
     fuzz = sub.add_parser("fuzz", help="differential fuzzing farm")
     fuzz_sub = fuzz.add_subparsers(dest="fuzz_command", required=True)
     fuzz_run = fuzz_sub.add_parser(
@@ -449,13 +390,16 @@ def _add_config_flags(parser) -> None:
 
 
 def _runner(args) -> ExperimentRunner:
+    """The command's runner; ``--profile`` reports its phase split."""
     policy = RetryPolicy(retries=max(0, args.retries),
                          timeout=args.timeout,
                          backoff=max(0.0, args.backoff))
-    return ExperimentRunner(scale=args.scale, jobs=args.jobs,
-                            use_cache=not args.no_cache,
-                            policy=policy, keep_going=args.keep_going,
-                            ledger=getattr(args, "ledger_sink", None))
+    runner = ExperimentRunner(scale=args.scale, jobs=args.jobs,
+                              use_cache=not args.no_cache,
+                              policy=policy, keep_going=args.keep_going,
+                              ledger=getattr(args, "ledger_sink", None))
+    args.runners.append(runner)
+    return runner
 
 
 def _build_sinks(args):
@@ -833,63 +777,6 @@ def cmd_ledger(args, out) -> int:
         return 1
 
 
-def cmd_bench_hotloop(args, out) -> int:
-    payload = hotloop.run_benchmark(
-        smoke=args.smoke, repeats=args.repeats,
-        progress=lambda line: print(line, file=out))
-    if args.update_baseline:
-        path = hotloop.update_baseline(payload, args.update_baseline,
-                                       args.baseline)
-        print("recorded %r reference in %s" % (args.update_baseline, path),
-              file=out)
-    baseline = hotloop.load_baseline(args.baseline)
-    hotloop.attach_baseline(payload, baseline, check=args.check)
-    path = hotloop.write_report(payload, args.output)
-    print("report written to %s" % path, file=out)
-    for name, entry in sorted(payload["models"].items()):
-        speedup = (payload.get("speedup_vs_before") or {}).get(name)
-        print("  %-8s %10.0f cycles/sec%s"
-              % (name, entry["cycles_per_sec"],
-                 "  (%.2fx vs before)" % speedup if speedup else ""),
-              file=out)
-    batched = payload.get("batched")
-    if batched:
-        print("  batched  %10.2fx vs per-config precompute  (stats %s)"
-              % (batched["speedup"],
-                 "identical" if batched["stats_identical"] else "DIVERGED"),
-              file=out)
-    check = payload["check"]
-    if check.get("enabled") and not check.get("passed", True):
-        details = check.get("details") or {}
-        batched_detail = details.get("batched") or {}
-        if batched_detail and not batched_detail.get("ok", True):
-            print("REGRESSION: batched sweep leg below %.2fx of the "
-                  "per-config baseline (measured %.2fx) or stats diverged"
-                  % (batched_detail.get("min_speedup", 0.0),
-                     batched_detail.get("speedup", 0.0)), file=out)
-        print("REGRESSION: hot-loop throughput below %.0f%% of the "
-              "committed baseline" % (100 * check["threshold"]), file=out)
-        return 1
-    return 0
-
-
-def cmd_bench_sweep(args, out) -> int:
-    payload = sweepbench.run_benchmark(
-        smoke=args.smoke, scale=args.scale, repeats=args.repeats,
-        progress=lambda line: print(line, file=out))
-    sweepbench.attach_check(payload, check=args.check)
-    path = hotloop.write_report(payload, args.output)
-    print(sweepbench.format_report(payload), file=out)
-    print("report written to %s" % path, file=out)
-    check = payload["check"]
-    if check.get("enabled") and not check["passed"]:
-        failed = [name for name, ok in check["details"].items() if not ok]
-        print("FAIL: sweep benchmark gate(s) not met: %s"
-              % ", ".join(sorted(failed)), file=out)
-        return 1
-    return 0
-
-
 def _print_divergences(report, out) -> None:
     rows = [[d.oracle, d.model, d.detail] for d in report.divergences]
     print(format_table(["oracle", "model", "detail"], rows), file=out)
@@ -991,8 +878,6 @@ COMMANDS = {
     "experiment": cmd_experiment,
     "trace-report": cmd_trace_report,
     "cache": cmd_cache,
-    "bench-hotloop": cmd_bench_hotloop,
-    "bench-sweep": cmd_bench_sweep,
     "fuzz": cmd_fuzz,
     "ledger": cmd_ledger,
 }
@@ -1002,6 +887,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     out = out if out is not None else sys.stdout
+    args.runners = []
     try:
         args.ledger_sink, ledger_path = _build_sinks(args)
     except argparse.ArgumentTypeError as exc:
@@ -1037,37 +923,20 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                 print("ledger written to %s" % ledger_path, file=out)
 
 
-def _phase_attribution(stats) -> List:
-    """Split a profile's wall time into the pipeline's coarse phases.
+def _phase_split(runners, wall: float) -> List:
+    """Split a profiled command's wall time into the runner phases.
 
-    Attributes the cumulative time of each phase's entry point --
-    functional tracing (``FunctionalCpu.run``), whole-trace precompute
-    (the bundle build in ``kernel/precompute.py``, shared or built
-    inside ``Simulator.__init__``), timing simulation
-    (``Simulator.run``), and trace-store I/O (decoding or encoding a
-    trace or bundle blob: ``load_trace`` / ``load_precompute`` /
-    ``to_bytes``), as the runner splits its phases.  The phases never
-    nest (a trace is fully built or loaded before its simulation starts,
-    and every precompute entry point runs outside ``Simulator.run``), so
-    the split is exact up to harness overhead, reported as "other".
+    Sums ``phase_seconds`` over every runner the command built -- the
+    same accumulators, and the same :data:`~repro.obs.ledger.PHASE_NAMES`,
+    that ledger ``phase`` spans report -- and charges the rest of the
+    wall time to "other (harness)".  With ``--jobs`` > 1 "timing
+    simulation" sums worker time, so it can exceed the wall clock.
     """
-    phases = {"functional tracing": 0.0, "precompute": 0.0,
-              "timing simulation": 0.0, "trace store I/O": 0.0}
-    for (filename, _line, funcname), entry in stats.stats.items():
-        cumulative = entry[3]
-        path = filename.replace("\\", "/")
-        if path.endswith("kernel/cpu.py") and funcname == "run":
-            phases["functional tracing"] += cumulative
-        elif path.endswith("kernel/precompute.py") and funcname == "build":
-            phases["precompute"] += cumulative
-        elif path.endswith("uarch/pipeline.py") and funcname == "run":
-            phases["timing simulation"] += cumulative
-        elif (path.endswith(("kernel/tracestore.py", "kernel/precompute.py"))
-                and funcname in ("load_trace", "load_precompute", "to_bytes")):
-            phases["trace store I/O"] += cumulative
-    total = stats.total_tt
-    phases["other (harness)"] = max(0.0, total - sum(phases.values()))
-    return [(label, seconds, 100.0 * seconds / total if total else 0.0)
+    from .obs.ledger import PHASE_NAMES
+    phases = {name: sum(r.phase_seconds[name] for r in runners)
+              for name in PHASE_NAMES}
+    phases["other (harness)"] = max(0.0, wall - sum(phases.values()))
+    return [(label, seconds, 100.0 * seconds / wall if wall else 0.0)
             for label, seconds in phases.items()]
 
 
@@ -1076,15 +945,17 @@ def _dispatch(command, args, out) -> int:
         import cProfile
         import pstats
         profile = cProfile.Profile()
+        start = time.perf_counter()
         profile.enable()
         try:
             rc = command(args, out)
         finally:
             profile.disable()
+            wall = time.perf_counter() - start
             report = pstats.Stats(profile, stream=out)
             report.sort_stats("cumulative").print_stats(25)
-            print("phase attribution:", file=out)
-            for label, seconds, percent in _phase_attribution(report):
+            print("phase split:", file=out)
+            for label, seconds, percent in _phase_split(args.runners, wall):
                 print("  %-20s %9.3fs  %5.1f%%" % (label, seconds, percent),
                       file=out)
             dump = args.profile_output or "repro.prof"

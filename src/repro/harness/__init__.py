@@ -13,7 +13,7 @@ from .reporting import (format_failure_table, format_point_log,
                         format_run_report, format_table, geomean, percent,
                         shape_check, speedup)
 from .experiments import ALL_EXPERIMENTS, ExperimentResult
-from . import hotloop, paper_data, sweepbench
+from . import paper_data
 
 __all__ = [
     "ExperimentRunner", "SimResult", "shared_runner",
@@ -26,6 +26,5 @@ __all__ = [
     "spec_point",
     "format_failure_table", "format_point_log", "format_run_report",
     "format_table", "geomean", "percent", "shape_check", "speedup",
-    "ALL_EXPERIMENTS", "ExperimentResult", "hotloop", "paper_data",
-    "sweepbench",
+    "ALL_EXPERIMENTS", "ExperimentResult", "paper_data",
 ]

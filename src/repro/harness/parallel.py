@@ -170,8 +170,8 @@ def _run_task(task):
     never shipped, with more than one config to amortise it over) is
     rebuilt locally.  The third element of the return value counts
     functional traces this task had to run itself, so the parent can
-    account for (and the sweep benchmark can assert the absence of)
-    worker re-traces; the fourth counts precompute bundles the worker
+    account for (and tests can assert the absence of) worker
+    re-traces; the fourth counts precompute bundles the worker
     (built, loaded) itself.
     """
     workload, blob, configs = task

@@ -92,8 +92,8 @@ class ExperimentRunner:
         self.scale = scale
         self.ledger = ledger if ledger is not None else NULL_LEDGER
         self.sweep_seq = 0           # monotonic sweep id for ledger spans
-        # Cumulative per-phase wall clock (ledger phase spans report the
-        # per-sweep delta); names match tools/profile_sim.py.
+        # Cumulative per-phase wall clock: ledger phase spans report the
+        # per-sweep delta, and ``repro --profile`` prints the totals.
         self.phase_seconds = {name: 0.0 for name in PHASE_NAMES}
         self.jobs = max(1, int(jobs))
         self.collect_metrics = collect_metrics
@@ -123,8 +123,8 @@ class ExperimentRunner:
         self._results: Dict[Tuple, SimResult] = {}
         self.point_log: List[PointTiming] = []
         self.batch_log: List[BatchTiming] = []
-        # Functional-trace accounting (the sweep benchmark's zero-retrace
-        # assertion reads these; see DESIGN.md section 12).
+        # Functional-trace accounting (the zero-retrace tests and
+        # tools/speed_gates.py read these; see DESIGN.md section 12).
         self.traces_generated = 0    # functional CPU runs in this process
         self.traces_loaded = 0       # packed traces mapped from the store
         self.worker_retraces = 0     # functional CPU runs inside workers
@@ -257,8 +257,8 @@ class ExperimentRunner:
 
         Batch submissions resolve this once per distinct trace and every
         config simulated against that trace shares the result; the
-        built/loaded counters back the sweep benchmark's
-        "exactly one precompute per trace" gate.
+        built/loaded counters back the "exactly one precompute per
+        trace" assertions.
         """
         bundle = self._precomputes.get(workload)
         if bundle is None:
@@ -373,9 +373,13 @@ class ExperimentRunner:
         if spec is None:
             spec = ConfigSpec.from_overrides(model, **overrides)
         params = spec.to_params()
-        stats = Simulator(self.program(workload), self.trace(workload),
+        trace = self.trace(workload)
+        sim_start = time.perf_counter()
+        stats = Simulator(self.program(workload), trace,
                           params, tracer=tracer,
                           precompute=self._precomputes.get(workload)).run()
+        self.phase_seconds["timing simulation"] += (time.perf_counter()
+                                                    - sim_start)
         result = SimResult(workload=workload, model=spec.model, stats=stats,
                            energy=energy_report(stats, params.energy))
         self.cache.put(self._disk_key(workload, spec), result)
@@ -443,6 +447,7 @@ class ExperimentRunner:
         keeps everything that completed before it died.
         """
         timing.sim_seconds += seconds
+        self.phase_seconds["timing simulation"] += seconds
         spec = point.spec
         self.cache.put(self._disk_key(point.workload, spec), result)
         key = self._memo_key(point.workload, spec)
@@ -636,12 +641,10 @@ class ExperimentRunner:
                     overrides=(canonical(failure.point.spec.setting_dict())
                                if failure.point.overrides else None),
                     detail=failure.detail or None)
-            # "timing simulation" is the summed per-point simulation
-            # time; the other phases are this batch's deltas of the
-            # runner-lifetime accumulators fed by trace()/precompute_for().
+            # Each phase is this batch's delta of its runner-lifetime
+            # accumulator.
             for name in PHASE_NAMES:
-                delta = (timing.sim_seconds if name == "timing simulation"
-                         else self.phase_seconds[name] - phases_before[name])
+                delta = self.phase_seconds[name] - phases_before[name]
                 if delta > 0.0:
                     self.ledger.emit("phase", sweep=sweep_id, name=name,
                                      seconds=round(delta, 6))

@@ -8,8 +8,8 @@ the sweep actually did: sweep lifecycle, task/worker lifecycle (queued
 number, and captured tracebacks), per-point completions (wall-clock,
 provenance, IPC, energy/EDP breakdown), store activity (trace and
 precompute hit vs build vs corrupt-miss, blob sizes), and per-sweep
-phase attribution using the same phase names as ``repro --profile`` /
-``tools/profile_sim.py``.
+phase attribution using the same phase names that ``repro --profile``
+prints.
 
 Like the pipeline tracer, the producer side follows the
 zero-overhead-when-off contract: every emit site in the harness is
@@ -46,7 +46,7 @@ from typing import Dict, IO, Iterable, Iterator, List, Optional, Union
 
 LEDGER_SCHEMA_VERSION = 1
 
-# The phase names shared with tools/profile_sim.py / repro --profile.
+# The phase names shared with repro --profile (the runner's phase_seconds).
 PHASE_NAMES = ("functional tracing", "precompute", "timing simulation",
                "trace store I/O")
 

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.ledger import PHASE_NAMES
 
 
 def run_cli(*argv):
@@ -59,6 +60,30 @@ class TestCommands:
                              "--workloads", "bzip2")
         assert code == 0
         assert "Table VI" in text and "bzip2" in text
+
+
+class TestProfile:
+    # Plain ``run`` resolves through run_batch; ``--metrics`` through
+    # run_traced.  Both must charge the simulation to its phase.
+    @pytest.mark.parametrize("extra", [(), ("--metrics", "m.json")])
+    def test_profile_prints_runner_phase_split_and_dumps(self, tmp_path,
+                                                         monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        dump = tmp_path / "p.prof"
+        code, text = run_cli("--profile", "--profile-output", str(dump),
+                             "--no-cache", "--scale", "0.05", "run", "bzip2",
+                             *extra)
+        assert code == 0
+        lines = text.splitlines()
+        start = lines.index("phase split:") + 1
+        rows = {}
+        for line in lines[start:]:
+            if not line.startswith("  "):
+                break
+            rows[line[2:22].strip()] = float(line[22:].split("s")[0])
+        assert list(rows) == list(PHASE_NAMES) + ["other (harness)"]
+        assert rows["timing simulation"] > 0.0
+        assert dump.is_file()
 
 
 class TestObservabilityCommands:

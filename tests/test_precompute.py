@@ -399,6 +399,18 @@ class TestRunnerBatching:
         assert warm.phase_seconds["precompute"] == 0.0
         assert warm.phase_seconds["trace store I/O"] > io_before
 
+    def test_timing_simulation_phase_sums_batch_sim_seconds(self, tmp_path):
+        # Serial and parallel batches charge each point's simulation time
+        # to the "timing simulation" phase exactly once.
+        runner = self.runner(tmp_path)
+        runner.run_batch(self.points()[:2])
+        runner.jobs = 2
+        runner.run_batch(self.points()[2:6])
+        want = sum(timing.sim_seconds for timing in runner.batch_log)
+        assert want > 0.0
+        assert runner.phase_seconds["timing simulation"] == pytest.approx(
+            want, rel=1e-9)
+
     def test_batched_results_identical_to_unbatched(self, tmp_path):
         batched = self.runner(tmp_path)
         out = batched.run_batch(self.points())
@@ -422,7 +434,7 @@ class TestRunnerBatching:
 
     def test_single_point_run_stays_precompute_free(self, tmp_path):
         # Per-point runs must not resolve a shared bundle through the
-        # store (the sweep benchmark's warm_store leg depends on this
+        # store (tools/speed_gates.py's warm_store leg depends on this
         # staying honest); the Simulator builds a private one instead.
         runner = self.runner(tmp_path)
         runner.run("mcf", ModelKind.DMDP)

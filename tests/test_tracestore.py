@@ -409,89 +409,3 @@ class TestTraceCaps:
             assert defaults["max_instructions"] == MAX_TRACE_INSTRUCTIONS, (
                 "%s does not honor the shared trace cap" % func.__name__)
 
-
-class TestSweepBenchCheck:
-    def payload(self):
-        legs = {
-            "legacy": {"wall_seconds": 10.0, "functional_traces": 16,
-                       "simulations": 16},
-            "cold": {"wall_seconds": 8.0, "functional_traces": 2,
-                     "simulations": 16},
-            "warm_store": {"wall_seconds": 7.5, "functional_traces": 0,
-                           "simulations": 16},
-            "batched": {"wall_seconds": 5.0, "functional_traces": 0,
-                        "simulations": 16, "precomputes_built": 0,
-                        "precomputes_loaded": 2},
-            "warm": {"wall_seconds": 0.5, "functional_traces": 0,
-                     "simulations": 0},
-        }
-        return {
-            "legs": legs,
-            "workloads": ["mcf", "lbm"],
-            "stats_consistent": True,
-            "speedups": {"cold": 1.25, "warm_store": 1.33, "batched": 2.0,
-                         "warm": 20.0},
-            "batched_vs_warm_store": 1.5,
-            "ledger": {"points": 16, "repeats": 3,
-                       "plain_seconds": 5.0, "ledger_seconds": 5.1,
-                       "overhead_percent": 2.0, "spans": 27},
-        }
-
-    def test_passes_on_healthy_payload(self):
-        from repro.harness import sweepbench
-        checked = sweepbench.attach_check(self.payload(), check=True)
-        assert checked["check"]["passed"], checked["check"]["details"]
-
-    def test_fails_on_warm_leg_retrace(self):
-        from repro.harness import sweepbench
-        payload = self.payload()
-        payload["legs"]["warm_store"]["functional_traces"] = 1
-        checked = sweepbench.attach_check(payload, check=True)
-        assert not checked["check"]["passed"]
-        assert not checked["check"]["details"]["warm_store_zero_retraces"]
-
-    def test_fails_below_warm_speedup_floor(self):
-        from repro.harness import sweepbench
-        payload = self.payload()
-        payload["speedups"]["warm"] = 1.2
-        checked = sweepbench.attach_check(payload, check=True)
-        assert not checked["check"]["passed"]
-
-    def test_fails_below_batched_speedup_floor(self):
-        from repro.harness import sweepbench
-        payload = self.payload()
-        payload["batched_vs_warm_store"] = 1.1
-        checked = sweepbench.attach_check(payload, check=True)
-        assert not checked["check"]["passed"]
-        assert not checked["check"]["details"]["batched_speedup_ok"]
-
-    def test_fails_on_redundant_precompute(self):
-        from repro.harness import sweepbench
-        payload = self.payload()
-        payload["legs"]["batched"]["precomputes_built"] = 1
-        checked = sweepbench.attach_check(payload, check=True)
-        assert not checked["check"]["passed"]
-        assert not checked["check"]["details"][
-            "batched_zero_redundant_precompute"]
-
-    def test_fails_on_ledger_overhead(self):
-        from repro.harness import sweepbench
-        payload = self.payload()
-        payload["ledger"]["overhead_percent"] = \
-            sweepbench.MAX_LEDGER_OVERHEAD_PERCENT + 1.0
-        checked = sweepbench.attach_check(payload, check=True)
-        assert not checked["check"]["passed"]
-        assert not checked["check"]["details"]["ledger_overhead_ok"]
-
-    def test_fails_when_batched_leg_misses_a_bundle(self):
-        from repro.harness import sweepbench
-        payload = self.payload()
-        payload["legs"]["batched"]["precomputes_loaded"] = 1
-        checked = sweepbench.attach_check(payload, check=True)
-        assert not checked["check"]["details"][
-            "batched_zero_redundant_precompute"]
-
-    def test_disabled_check_records_nothing(self):
-        from repro.harness import sweepbench
-        checked = sweepbench.attach_check(self.payload(), check=False)
-        assert checked["check"] == {"enabled": False}
